@@ -34,7 +34,6 @@ FrontierKernel::Config BipsProcess::kernel_config() const {
   // only drives the sampling kernel.
   cfg.engine = options_.kernel == BipsKernel::kProbability ? Engine::kSparse
                                                            : engine_;
-  cfg.draw_hash = options_.process.draw_hash;
   cfg.dense_density = options_.process.dense_density;
   cfg.laziness = options_.process.laziness;
   cfg.build_sampler = options_.kernel == BipsKernel::kSampling;

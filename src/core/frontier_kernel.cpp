@@ -64,19 +64,6 @@ Engine resolve_engine(Engine engine) {
   return *parsed;
 }
 
-const char* draw_hash_name(DrawHash hash) {
-  switch (hash) {
-    case DrawHash::kDefault: return "default";
-    case DrawHash::kMix64: return "mix64";
-    case DrawHash::kPhilox: return "philox";
-  }
-  return "invalid";
-}
-
-DrawHash resolve_draw_hash(DrawHash hash) {
-  return hash == DrawHash::kDefault ? DrawHash::kMix64 : hash;
-}
-
 int resolve_kernel_threads(int kernel_threads) {
   if (kernel_threads == 0) return util::kernel_threads();
   return std::clamp(kernel_threads, 1, 256);
@@ -102,7 +89,6 @@ std::vector<WordRange> partition_word_ranges(std::size_t words, int lanes) {
 FrontierKernel::FrontierKernel(const graph::Graph& g, const Config& config)
     : graph_(&g),
       engine_(config.engine),
-      draw_hash_(resolve_draw_hash(config.draw_hash)),
       dense_density_(config.dense_density),
       track_visited_(config.track_visited),
       threads_(std::clamp(config.kernel_threads, 1, 256)),
@@ -205,21 +191,15 @@ void FrontierKernel::merge_visited_parallel(std::size_t words,
   }
   const std::vector<WordRange> ranges =
       partition_word_ranges(words, threads_);
-  ensure_lane_pool();
   std::vector<std::uint64_t> lane_newly(ranges.size(), 0);
   std::vector<std::uint64_t> lane_active(ranges.size(), 0);
-  std::vector<std::future<void>> pending;
-  pending.reserve(ranges.size() - 1);
-  for (std::size_t i = 1; i < ranges.size(); ++i)
-    pending.push_back(pool_->submit([&, i] {
-      const WordRange r = ranges[i];
-      util::simd::merge_visited_words(next + r.begin, visited + r.begin,
-                                      r.end - r.begin, &lane_newly[i],
-                                      &lane_active[i]);
-    }));
-  util::simd::merge_visited_words(next, visited, ranges[0].end, &lane_newly[0],
-                                  &lane_active[0]);
-  for (std::future<void>& f : pending) f.get();
+  fork_join(static_cast<int>(ranges.size()), [&](int li) {
+    const auto i = static_cast<std::size_t>(li);
+    const WordRange r = ranges[i];
+    util::simd::merge_visited_words(next + r.begin, visited + r.begin,
+                                    r.end - r.begin, &lane_newly[i],
+                                    &lane_active[i]);
+  });
   for (std::size_t i = 0; i < ranges.size(); ++i) {
     *newly += lane_newly[i];
     *active += lane_active[i];
@@ -233,19 +213,13 @@ std::uint64_t FrontierKernel::or_count_parallel(std::uint64_t* dst_words,
     return util::simd::or_count_new_words(next, dst_words, words);
   const std::vector<WordRange> ranges =
       partition_word_ranges(words, threads_);
-  ensure_lane_pool();
   std::vector<std::uint64_t> lane_added(ranges.size(), 0);
-  std::vector<std::future<void>> pending;
-  pending.reserve(ranges.size() - 1);
-  for (std::size_t i = 1; i < ranges.size(); ++i)
-    pending.push_back(pool_->submit([&, i] {
-      const WordRange r = ranges[i];
-      lane_added[i] = util::simd::or_count_new_words(
-          next + r.begin, dst_words + r.begin, r.end - r.begin);
-    }));
-  lane_added[0] =
-      util::simd::or_count_new_words(next, dst_words, ranges[0].end);
-  for (std::future<void>& f : pending) f.get();
+  fork_join(static_cast<int>(ranges.size()), [&](int li) {
+    const auto i = static_cast<std::size_t>(li);
+    const WordRange r = ranges[i];
+    lane_added[i] = util::simd::or_count_new_words(
+        next + r.begin, dst_words + r.begin, r.end - r.begin);
+  });
   std::uint64_t added = 0;
   for (const std::uint64_t a : lane_added) added += a;
   return added;

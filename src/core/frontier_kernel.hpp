@@ -15,12 +15,11 @@
 //   * VertexDraws — a counter-based randomness stream for one (round,
 //     entity) pair, where the entity is a vertex id (set processes) or a
 //     particle index (walks). Word k is a pure function of (round_key,
-//     entity, k) through the selected DrawHash — the cheap 2-round
-//     SplitMix64 mix by default, Philox4x32 as the conservative fallback —
-//     so engines may process entities in any order, or any frontier
-//     representation, and still make identical random choices. This is
-//     what makes the engines of one process bit-for-bit equivalent at a
-//     fixed seed.
+//     entity, k) through two rounds of the SplitMix64 finalizer — one
+//     protocol for every process and engine — so engines may process
+//     entities in any order, or any frontier representation, and still
+//     make identical random choices. This is what makes the engines of
+//     one process bit-for-bit equivalent at a fixed seed.
 //
 //   * FrontierKernel — the dual sparse/dense frontier state machine: a
 //     vector frontier with epoch-stamped O(1) membership, a bitset
@@ -56,12 +55,15 @@
 // emits into lane-owned scratch words, and the scratch is OR-merged — all
 // of which commutes, so results are bit-for-bit identical at every lane
 // count. Lane telemetry goes to lane-local StepMetrics blocks folded after
-// the join; the hot path never touches a shared counter.
+// the join; the hot path never touches a shared counter. Every parallel
+// pass — the lane scans and the commit merges — goes through one private
+// fork-join (lanes 1..L-1 on the kernel's pool, lane 0 inline, then join).
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
 #include <span>
@@ -71,8 +73,8 @@
 #include "core/process.hpp"
 #include "graph/graph.hpp"
 #include "rng/discrete.hpp"
-#include "rng/philox.hpp"
 #include "rng/splitmix64.hpp"
+#include "util/assert.hpp"
 #include "util/bitset.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -138,37 +140,24 @@ class NeighborSampler {
 /// Counter-based per-entity randomness for one round of a kernel process.
 ///
 /// Produces an unlimited 64-bit word stream that is a pure function of
-/// (round_key, entity, word index) through the selected DrawHash:
-///   * kMix64  — word k = mix64(base + k·C2) with
-///               base = mix64(round_key + (entity+1)·C1): two SplitMix64
-///               finalizer rounds from inputs to output, Weyl-spaced in
-///               both the entity and the word index (the same structure
-///               the SplitMix64 generator itself uses);
-///   * kPhilox — philox4x32({entity, block, salt}, round_key), two words
-///               per evaluation (the PR-3 protocol, kept for A/B).
+/// (round_key, entity, word index): word k = mix64(base + k·C2) with
+/// base = mix64(round_key + (entity+1)·C1) — two SplitMix64 finalizer
+/// rounds from inputs to output, Weyl-spaced in both the entity and the
+/// word index (the same structure the SplitMix64 generator itself uses).
+/// tests/test_cobra_engines.cpp pins the first words of a few streams, so
+/// a change here cannot silently re-key every archive.
 class VertexDraws {
  public:
   /// Binds the stream to this round's key and one entity (vertex id or
-  /// particle index). `hash` must be resolved (not DrawHash::kDefault).
-  VertexDraws(DrawHash hash, std::uint64_t round_key, std::uint32_t entity)
-      : hash_(hash) {
-    if (hash == DrawHash::kMix64) {
-      base_ = rng::mix64(round_key +
+  /// particle index).
+  VertexDraws(std::uint64_t round_key, std::uint32_t entity)
+      : base_(rng::mix64(round_key +
                          (static_cast<std::uint64_t>(entity) + 1) *
-                             0x9E3779B97F4A7C15ull);
-    } else {
-      key_ = {static_cast<std::uint32_t>(round_key),
-              static_cast<std::uint32_t>(round_key >> 32)};
-      entity_ = entity;
-    }
-  }
+                             0x9E3779B97F4A7C15ull)) {}
 
   /// The next 64-bit word of this entity's round stream.
   std::uint64_t next_word() {
-    if (hash_ == DrawHash::kMix64)
-      return rng::mix64(base_ + (counter_++) * 0xD1B54A32D192ED03ull);
-    if (buffered_ == 0) refill();
-    return buffer_[--buffered_];
+    return rng::mix64(base_ + (counter_++) * 0xD1B54A32D192ED03ull);
   }
 
   /// Uniform double in [0, 1) with 53 bits (same mapping as rng::Rng).
@@ -185,26 +174,8 @@ class VertexDraws {
   }
 
  private:
-  void refill() {
-    // Distinct salts keep this keyed use of Philox disjoint from the
-    // replicate-stream derivation in rng/stream.hpp.
-    const rng::PhiloxBlock out = rng::philox4x32(
-        {entity_, block_++, 0x0C0BFA57u, 0x5EED1E55u}, key_);
-    buffer_[1] = (static_cast<std::uint64_t>(out.x[1]) << 32) | out.x[0];
-    buffer_[0] = (static_cast<std::uint64_t>(out.x[3]) << 32) | out.x[2];
-    buffered_ = 2;
-  }
-
-  DrawHash hash_;
-  // kMix64 state.
-  std::uint64_t base_ = 0;
+  std::uint64_t base_;
   std::uint64_t counter_ = 0;
-  // kPhilox state.
-  std::array<std::uint32_t, 2> key_{};
-  std::uint32_t entity_ = 0;
-  std::uint32_t block_ = 0;
-  std::array<std::uint64_t, 2> buffer_{};
-  int buffered_ = 0;
 };
 
 /// The dual sparse/dense frontier state machine shared by every spreading
@@ -221,8 +192,6 @@ class FrontierKernel {
     /// Resolved stepping engine (kReference behaves like kSparse at the
     /// representation level: the kernel never picks a dense round for it).
     Engine engine = Engine::kAuto;
-    /// Keyed hash for draws(); resolved at kernel construction.
-    DrawHash draw_hash = DrawHash::kDefault;
     /// kAuto switches to the dense frontier when begin_round's score
     /// reaches 1 and back below 0.5 (2x hysteresis); processes compute the
     /// score, typically via density_score().
@@ -264,9 +233,6 @@ class FrontierKernel {
   /// The resolved stepping engine.
   [[nodiscard]] Engine engine() const { return engine_; }
 
-  /// The resolved draw hash feeding draws().
-  [[nodiscard]] DrawHash draw_hash() const { return draw_hash_; }
-
   /// The destination sampler (only valid when built or shared).
   [[nodiscard]] const NeighborSampler& sampler() const { return *sampler_; }
 
@@ -281,7 +247,7 @@ class FrontierKernel {
   [[nodiscard]] VertexDraws draws(std::uint64_t round_key,
                                   std::uint32_t entity) const {
     if (metrics_ != nullptr) ++metrics_->draw_streams;
-    return VertexDraws(draw_hash_, round_key, entity);
+    return VertexDraws(round_key, entity);
   }
 
   /// The attached telemetry block (null when telemetry is off). Processes
@@ -493,23 +459,20 @@ class FrontierKernel {
   /// The resolved in-round lane count (>= 1; Config::kernel_threads).
   [[nodiscard]] int kernel_threads() const { return threads_; }
 
-  /// Per-lane emission context for the dense parallel scans: emits bits
-  /// into the lane's target words (the shared destination for lane 0 and
-  /// local-write scans, a lane-owned scratch bitset otherwise), derives
-  /// keyed draw streams, and buffers telemetry in a lane-local StepMetrics
+  /// What every lane context shares: the lane's emission target, keyed
+  /// draw streams, a process-owned tally, and a lane-local StepMetrics
   /// block folded into the kernel's after the join — the hot path never
-  /// touches a shared counter.
-  class DenseLane {
+  /// touches a shared counter. The telemetry block goes last, so the cold
+  /// tail of one lane, not its target, borders the next lane's tally.
+  template <typename Target>
+  class Lane {
    public:
-    /// Marks v in the lane's target bitset (idempotent, like DenseSink).
-    void emit(graph::VertexId v) { words_[v >> 6] |= 1ull << (v & 63); }
-
     /// The keyed word stream of `entity` — identical to
     /// FrontierKernel::draws, with lane-local stream accounting.
     [[nodiscard]] VertexDraws draws(std::uint64_t round_key,
                                     std::uint32_t entity) {
       ++block_.draw_streams;
-      return VertexDraws(hash_, round_key, entity);
+      return VertexDraws(round_key, entity);
     }
 
     /// The lane's telemetry block (folded after the join, in lane order,
@@ -520,43 +483,39 @@ class FrontierKernel {
     /// the lane-ordered sum over all lanes.
     std::uint64_t user = 0;
 
+   protected:
+    explicit Lane(Target target) : target_(target) {}
+    Target target_;
+
    private:
     friend class FrontierKernel;
-    DenseLane(std::uint64_t* words, DrawHash hash)
-        : words_(words), hash_(hash) {}
-    std::uint64_t* words_;
-    DrawHash hash_;
     StepMetrics block_;
+  };
+
+  /// Per-lane emission context for the dense parallel scans: emits bits
+  /// into the lane's target words (the shared destination for lane 0 and
+  /// local-write scans, a lane-owned scratch bitset otherwise).
+  class DenseLane : public Lane<std::uint64_t*> {
+   public:
+    /// Marks v in the lane's target bitset (idempotent, like DenseSink).
+    void emit(graph::VertexId v) { target_[v >> 6] |= 1ull << (v & 63); }
+
+   private:
+    friend class FrontierKernel;
+    explicit DenseLane(std::uint64_t* words) : Lane(words) {}
   };
 
   /// Per-lane emission context for plain_vertex_scan: emissions append to
   /// a lane-owned vector, concatenated in lane order after the join —
   /// reproducing the serial PlainSink emission order exactly.
-  class SparseLane {
+  class SparseLane : public Lane<std::vector<graph::VertexId>*> {
    public:
     /// Appends v to the lane's emission vector.
-    void emit(graph::VertexId v) { out_->push_back(v); }
-
-    /// The keyed word stream of `entity` (see DenseLane::draws).
-    [[nodiscard]] VertexDraws draws(std::uint64_t round_key,
-                                    std::uint32_t entity) {
-      ++block_.draw_streams;
-      return VertexDraws(hash_, round_key, entity);
-    }
-
-    /// The lane's telemetry block (folded after the join).
-    [[nodiscard]] StepMetrics& metrics() { return block_; }
-
-    /// Process-owned tally; the scan returns the lane-ordered sum.
-    std::uint64_t user = 0;
+    void emit(graph::VertexId v) { target_->push_back(v); }
 
    private:
     friend class FrontierKernel;
-    SparseLane(std::vector<graph::VertexId>* out, DrawHash hash)
-        : out_(out), hash_(hash) {}
-    std::vector<graph::VertexId>* out_;
-    DrawHash hash_;
-    StepMetrics block_;
+    explicit SparseLane(std::vector<graph::VertexId>* out) : Lane(out) {}
   };
 
   /// Lane-parallel scatter scan of the current frontier during a dense
@@ -742,33 +701,25 @@ class FrontierKernel {
                                 bool local_writes, Task&& task) {
     if (lanes <= 0) return 0;
     if (lanes == 1) {
-      DenseLane lane(dest.data(), draw_hash_);
+      DenseLane lane(dest.data());
       task(0, lane);
       fold_lane(lane.block_);
       return lane.user;
     }
-    ensure_lane_pool();
     if (!local_writes) ensure_lane_scratch(lanes - 1);
     std::vector<DenseLane> lane_objs;
     lane_objs.reserve(static_cast<std::size_t>(lanes));
-    lane_objs.push_back(DenseLane(dest.data(), draw_hash_));
+    lane_objs.push_back(DenseLane(dest.data()));
     for (int i = 1; i < lanes; ++i)
       lane_objs.push_back(DenseLane(
           local_writes
               ? dest.data()
-              : lane_scratch_[static_cast<std::size_t>(i - 1)].data(),
-          draw_hash_));
-    std::vector<std::future<void>> pending;
-    pending.reserve(static_cast<std::size_t>(lanes - 1));
-    for (int i = 1; i < lanes; ++i)
-      pending.push_back(
-          pool_->submit([this, i, local_writes, &lane_objs, &task] {
-            if (!local_writes)
-              lane_scratch_[static_cast<std::size_t>(i - 1)].reset_all();
-            task(i, lane_objs[static_cast<std::size_t>(i)]);
-          }));
-    task(0, lane_objs[0]);
-    for (auto& f : pending) f.get();
+              : lane_scratch_[static_cast<std::size_t>(i - 1)].data()));
+    fork_join(lanes, [&](int i) {
+      if (!local_writes && i > 0)
+        lane_scratch_[static_cast<std::size_t>(i - 1)].reset_all();
+      task(i, lane_objs[static_cast<std::size_t>(i)]);
+    });
     std::uint64_t user = 0;
     const std::size_t merge_words = dest.words().size();
     for (int i = 0; i < lanes; ++i) {
@@ -791,37 +742,65 @@ class FrontierKernel {
   std::uint64_t run_sparse_lanes(int lanes, Task&& task) {
     if (lanes <= 0) return 0;
     if (lanes == 1) {
-      SparseLane lane(&next_, draw_hash_);
+      SparseLane lane(&next_);
       task(0, lane);
       fold_lane(lane.block_);
       return lane.user;
     }
-    ensure_lane_pool();
     if (lane_out_.size() < static_cast<std::size_t>(lanes - 1))
       lane_out_.resize(static_cast<std::size_t>(lanes - 1));
     std::vector<SparseLane> lane_objs;
     lane_objs.reserve(static_cast<std::size_t>(lanes));
-    lane_objs.push_back(SparseLane(&next_, draw_hash_));
+    lane_objs.push_back(SparseLane(&next_));
     for (int i = 1; i < lanes; ++i)
-      lane_objs.push_back(SparseLane(
-          &lane_out_[static_cast<std::size_t>(i - 1)], draw_hash_));
-    std::vector<std::future<void>> pending;
-    pending.reserve(static_cast<std::size_t>(lanes - 1));
-    for (int i = 1; i < lanes; ++i)
-      pending.push_back(pool_->submit([i, &lane_objs, &task] {
-        lane_objs[static_cast<std::size_t>(i)].out_->clear();
-        task(i, lane_objs[static_cast<std::size_t>(i)]);
-      }));
-    task(0, lane_objs[0]);
-    for (auto& f : pending) f.get();
+      lane_objs.push_back(
+          SparseLane(&lane_out_[static_cast<std::size_t>(i - 1)]));
+    fork_join(lanes, [&](int i) {
+      SparseLane& lane = lane_objs[static_cast<std::size_t>(i)];
+      if (i > 0) lane.target_->clear();
+      task(i, lane);
+    });
     std::uint64_t user = 0;
     for (int i = 0; i < lanes; ++i) {
       SparseLane& lane = lane_objs[static_cast<std::size_t>(i)];
-      if (i > 0) next_.insert(next_.end(), lane.out_->begin(), lane.out_->end());
+      if (i > 0)
+        next_.insert(next_.end(), lane.target_->begin(), lane.target_->end());
       user += lane.user;
       fold_lane(lane.block_);
     }
     return user;
+  }
+
+  /// The kernel's one fork-join: runs lane_fn(i) for every lane i in
+  /// [0, lanes), lanes 1..lanes-1 as tasks on the kernel's pool and lane 0
+  /// inline on the calling thread, and returns once every lane is done.
+  /// Callers fold per-lane results in lane order afterwards. Needs
+  /// lanes >= 2 (single-lane passes stay on the calling thread without
+  /// touching the pool). When lanes throw, every lane is still joined
+  /// before the lowest-numbered lane's exception is rethrown: no task may
+  /// outlive the caller's frame it reads.
+  template <typename LaneFn>
+  void fork_join(int lanes, LaneFn&& lane_fn) {
+    COBRA_DCHECK(lanes >= 2);
+    ensure_lane_pool();
+    std::vector<std::future<void>> pending;
+    pending.reserve(static_cast<std::size_t>(lanes - 1));
+    for (int i = 1; i < lanes; ++i)
+      pending.push_back(pool_->submit([&lane_fn, i] { lane_fn(i); }));
+    std::exception_ptr error;
+    try {
+      lane_fn(0);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    for (std::future<void>& f : pending) {
+      try {
+        f.get();
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
   }
 
   /// Folds a lane's telemetry block into the kernel's (no-op when
@@ -864,7 +843,6 @@ class FrontierKernel {
 
   const graph::Graph* graph_;
   Engine engine_;
-  DrawHash draw_hash_;
   double dense_density_;
   bool track_visited_;
   std::shared_ptr<const NeighborSampler> sampler_;

@@ -1,20 +1,11 @@
-// Entry points for the `cobra` binary and the thin back-compat exp_*
-// binaries.
+// Entry point for the `cobra` binary, the one way to run an experiment
+// (`cobra run <name>`).
 #pragma once
-
-#include <string>
 
 namespace cobra::runner {
 
 /// Full CLI: `cobra <list|run|sweep|merge|help> [NAME...] [flags]`.
 /// `argv` excludes the program name. Returns the process exit code.
 int cli_main(int argc, const char* const* argv);
-
-/// Back-compat driver: behaves like `cobra run <experiment>` with the same
-/// flags appended, so `exp_hypercube` keeps its historical one-shot
-/// behaviour (full console table, canonical CSV) while gaining
-/// --shard/--resume/--scale for free.
-int standalone_main(const std::string& experiment, int argc,
-                    const char* const* argv);
 
 }  // namespace cobra::runner

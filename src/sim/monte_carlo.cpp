@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#ifdef COBRA_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 #include "rng/stream.hpp"
 #include "util/env.hpp"
 #include "util/thread_pool.hpp"
@@ -29,22 +25,12 @@ void parallel_replicates(
     }
     return;
   }
-#ifdef COBRA_HAVE_OPENMP
-  // Dynamic schedule: replicate costs are heavy-tailed (cover times), so
-  // static chunking would straggle.
-#pragma omp parallel for schedule(dynamic, 1) num_threads(workers)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(count); ++i) {
-    rng::Rng rng = rng::make_stream(seed, static_cast<std::uint64_t>(i));
-    body(static_cast<std::uint64_t>(i), rng);
-  }
-#else
   util::ThreadPool pool(static_cast<std::size_t>(workers));
   pool.parallel_for_index(static_cast<std::size_t>(count),
                           [&](std::size_t i) {
                             rng::Rng rng = rng::make_stream(seed, i);
                             body(i, rng);
                           });
-#endif
 }
 
 std::vector<double> run_replicates(

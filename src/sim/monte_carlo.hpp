@@ -2,9 +2,8 @@
 //
 // Replicate i always receives the RNG stream (seed, i) from the Philox
 // counter construction (rng/stream.hpp), so results are bitwise identical
-// for any thread count or schedule. OpenMP dynamic scheduling when
-// available; a ThreadPool fallback otherwise; serial under either when the
-// thread cap is 1.
+// for any thread count or schedule. Replicates run dynamically scheduled
+// on a util::ThreadPool, or serially on the caller at a thread cap of 1.
 #pragma once
 
 #include <cstdint>

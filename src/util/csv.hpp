@@ -1,6 +1,6 @@
 // Minimal CSV writing/reading for experiment result archiving.
 //
-// Every bench/exp_* binary writes its rows to bench_results/<name>.csv so
+// Every bench/exp_* experiment writes its rows to bench_results/<name>.csv so
 // EXPERIMENTS.md numbers are regenerable and plottable. The runner
 // subsystem additionally appends to per-shard fragments (resume) and reads
 // them back (merge), so the writer supports reopening an existing archive

@@ -1,9 +1,7 @@
 // A small fixed-size thread pool.
 //
-// The Monte-Carlo engine prefers OpenMP when available (see sim/monte_carlo),
-// but the pool provides an always-available fallback and serves components
-// that need long-lived workers (e.g. overlapping graph generation with
-// simulation in examples).
+// Runs the Monte-Carlo replicate fan-out (sim/monte_carlo) and the frontier
+// kernel's in-round lanes (core/frontier_kernel).
 #pragma once
 
 #include <condition_variable>

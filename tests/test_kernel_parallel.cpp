@@ -10,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "baselines/flooding.hpp"
@@ -118,16 +122,6 @@ TEST(KernelParallel, CobraThreadInvariantWithLazinessAndBranching) {
   opt.laziness = 0.5;
   opt.branching = Branching::one_plus_rho(0.3);
   expect_cobra_thread_invariant(g, opt, 4711);
-}
-
-TEST(KernelParallel, CobraThreadInvariantUnderEitherDrawHash) {
-  const graph::Graph g = graph::hypercube(6);
-  for (const DrawHash hash : {DrawHash::kMix64, DrawHash::kPhilox}) {
-    ProcessOptions opt;
-    opt.engine = Engine::kAuto;
-    opt.draw_hash = hash;
-    expect_cobra_thread_invariant(g, opt, 2222);
-  }
 }
 
 TEST(KernelParallel, CobraThreadInvariantOnIngestedGraph) {
@@ -310,6 +304,42 @@ TEST(KernelParallel, MoreLanesThanWordsOrVerticesIsSafe) {
     opt.engine = engine;
     expect_cobra_thread_invariant(g, opt, 77);
   }
+}
+
+TEST(KernelParallel, ThrowingLaneIsRethrownAfterEveryLaneJoins) {
+  // 4 lanes over 256 vertices: lane 0 throws on its first vertex and lane
+  // 3 on its ninth, while lanes 1 and 2 are still asleep on theirs. The
+  // scan must run lanes 1 and 2 to completion, join everyone, rethrow
+  // lane 0's error, and leave the kernel usable.
+  const graph::Graph g = graph::cycle(256);
+  FrontierKernel::Config cfg;
+  cfg.engine = Engine::kDense;
+  cfg.kernel_threads = 4;
+  FrontierKernel kernel(g, cfg);
+  const graph::VertexId start[] = {0};
+  kernel.assign(start);
+  ASSERT_TRUE(kernel.begin_round(1.0));
+  std::atomic<int> calls{0};
+  try {
+    kernel.scatter_vertex_scan([&](auto& lane, graph::VertexId u) {
+      if (u == 64 || u == 128)
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      ++calls;
+      if (u == 0) throw std::runtime_error("lane 0");
+      if (u == 200) throw std::runtime_error("lane 3");
+      lane.emit(u);
+    });
+    FAIL() << "the scan swallowed its lanes' exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "lane 0");
+  }
+  EXPECT_EQ(calls.load(), 1 + 64 + 64 + 9);
+
+  ASSERT_TRUE(kernel.begin_round(1.0));
+  kernel.scatter_vertex_scan(
+      [](auto& lane, graph::VertexId u) { lane.emit(u); });
+  kernel.commit(FrontierKernel::Commit::kReplace);
+  EXPECT_EQ(kernel.frontier_size(), 256u);
 }
 
 }  // namespace
