@@ -108,7 +108,8 @@ void BM_BipsRoundThreads(benchmark::State& state) {
   // mirroring micro_cobra's BM_CobraStepThreads: bit-identical results
   // at every lane count, threads_1 guards the single-thread overhead,
   // and the scaling entries are gated on the generating machine's CPU
-  // count (scripts/check_step_bench.py --suite bips_threads).
+  // count (scripts/check_step_bench.py --suite bips_threads). Timed in
+  // wall time, like BM_CobraStepThreads.
   const int threads = static_cast<int>(state.range(0));
   const graph::Graph& g = bench_graph(kNumGraphs - 1);
   state.SetLabel(std::string(graph_name(kNumGraphs - 1)) +
@@ -125,7 +126,7 @@ void BM_BipsRoundThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.num_vertices()));
 }
-BENCHMARK(BM_BipsRoundThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_BipsRoundThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_BipsFullInfection(benchmark::State& state) {
   const int graph_id = static_cast<int>(state.range(0));

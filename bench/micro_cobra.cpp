@@ -117,7 +117,9 @@ void BM_CobraStepThreads(benchmark::State& state) {
   // plain BM_CobraStep dense path (scripts/check_step_bench.py --suite
   // step_threads). Scaling entries are only meaningful when the
   // generating machine has at least that many CPUs; the check reads
-  // context.num_cpus and skips the speedup assertion otherwise.
+  // context.num_cpus and skips the speedup assertion otherwise. Wall
+  // time, not main-thread CPU time, sets the iteration count and
+  // items_per_second: the lanes run on other threads too.
   const int threads = static_cast<int>(state.range(0));
   const graph::Graph& g = bench_graph(5);
   state.SetLabel(std::string(graph_name(5)) + "/dense/threads_" +
@@ -141,6 +143,7 @@ BENCHMARK(BM_CobraStepThreads)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 void BM_CobraStepAtDensity(benchmark::State& state) {

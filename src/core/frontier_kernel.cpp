@@ -158,15 +158,8 @@ void FrontierKernel::ensure_bitsets() {
   }
 }
 
-void FrontierKernel::ensure_lane_pool() {
-  if (!pool_)
-    pool_ = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(threads_ - 1));
-}
-
-void FrontierKernel::ensure_lane_scratch(int count) {
-  if (lane_scratch_.size() < static_cast<std::size_t>(count))
-    lane_scratch_.resize(static_cast<std::size_t>(count));
+void FrontierKernel::ensure_lane_scratch(std::size_t count) {
+  if (lane_scratch_.size() < count) lane_scratch_.resize(count);
   for (util::DynamicBitset& scratch : lane_scratch_)
     if (scratch.size() != graph_->num_vertices())
       scratch.resize(graph_->num_vertices());
@@ -189,20 +182,21 @@ void FrontierKernel::merge_visited_parallel(std::size_t words,
     util::simd::merge_visited_words(next, visited, words, newly, active);
     return;
   }
-  const std::vector<WordRange> ranges =
-      partition_word_ranges(words, threads_);
-  std::vector<std::uint64_t> lane_newly(ranges.size(), 0);
-  std::vector<std::uint64_t> lane_active(ranges.size(), 0);
-  fork_join(static_cast<int>(ranges.size()), [&](int li) {
-    const auto i = static_cast<std::size_t>(li);
-    const WordRange r = ranges[i];
+  // lane_sums_ holds lane i's first visits at 2i and its active count at
+  // 2i + 1; sized once, so the parallel commit allocates nothing.
+  const std::size_t lanes = lane_count(words, threads_);
+  if (lane_sums_.size() < 2 * lanes) lane_sums_.resize(2 * lanes);
+  fork_join(lanes, [&](std::size_t i) {
+    const WordRange r = word_range(words, lanes, i);
+    lane_sums_[2 * i] = 0;
+    lane_sums_[2 * i + 1] = 0;
     util::simd::merge_visited_words(next + r.begin, visited + r.begin,
-                                    r.end - r.begin, &lane_newly[i],
-                                    &lane_active[i]);
+                                    r.end - r.begin, &lane_sums_[2 * i],
+                                    &lane_sums_[2 * i + 1]);
   });
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    *newly += lane_newly[i];
-    *active += lane_active[i];
+  for (std::size_t i = 0; i < lanes; ++i) {
+    *newly += lane_sums_[2 * i];
+    *active += lane_sums_[2 * i + 1];
   }
 }
 
@@ -211,17 +205,15 @@ std::uint64_t FrontierKernel::or_count_parallel(std::uint64_t* dst_words,
   const std::uint64_t* next = next_frontier_.words().data();
   if (threads_ <= 1 || words < kParallelCommitMinWords)
     return util::simd::or_count_new_words(next, dst_words, words);
-  const std::vector<WordRange> ranges =
-      partition_word_ranges(words, threads_);
-  std::vector<std::uint64_t> lane_added(ranges.size(), 0);
-  fork_join(static_cast<int>(ranges.size()), [&](int li) {
-    const auto i = static_cast<std::size_t>(li);
-    const WordRange r = ranges[i];
-    lane_added[i] = util::simd::or_count_new_words(
+  const std::size_t lanes = lane_count(words, threads_);
+  if (lane_sums_.size() < lanes) lane_sums_.resize(lanes);
+  fork_join(lanes, [&](std::size_t i) {
+    const WordRange r = word_range(words, lanes, i);
+    lane_sums_[i] = util::simd::or_count_new_words(
         next + r.begin, dst_words + r.begin, r.end - r.begin);
   });
   std::uint64_t added = 0;
-  for (const std::uint64_t a : lane_added) added += a;
+  for (std::size_t i = 0; i < lanes; ++i) added += lane_sums_[i];
   return added;
 }
 
@@ -268,7 +260,7 @@ std::uint32_t FrontierKernel::commit(Commit policy) {
   if (round_dense_) {
     // Branch-free word-parallel pass: merge the next frontier into the
     // visited set, count first visits and the new frontier size via
-    // popcount — SIMD within word ranges, fanned out over the lane pool
+    // popcount — SIMD within word ranges, fanned out over the lanes
     // for big bitsets.
     std::uint32_t newly = 0;
     std::uint32_t active_count = 0;

@@ -57,14 +57,18 @@
 // count. Lane telemetry goes to lane-local StepMetrics blocks folded after
 // the join; the hot path never touches a shared counter. Every parallel
 // pass — the lane scans and the commit merges — goes through one private
-// fork-join (lanes 1..L-1 on the kernel's pool, lane 0 inline, then join).
+// fork-join on the kernel's util::ForkJoinTeam: the caller and
+// kernel_threads - 1 persistent workers claim lanes from an atomic counter,
+// so any thread may run any lane (lane i still writes only lane i's
+// scratch, emission vector and tally, folded in lane order), a parked or
+// descheduled worker never stalls a round, and a parallel round allocates
+// nothing. One kernel runs per replicate thread, so replicate threads ×
+// lanes is the whole thread count.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <exception>
-#include <future>
 #include <memory>
 #include <span>
 #include <vector>
@@ -76,8 +80,8 @@
 #include "rng/splitmix64.hpp"
 #include "util/assert.hpp"
 #include "util/bitset.hpp"
+#include "util/fork_join_team.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cobra::core {
 
@@ -95,6 +99,24 @@ struct WordRange {
 /// exactly once for adversarial combinations. Returns no ranges when
 /// `words` is 0.
 std::vector<WordRange> partition_word_ranges(std::size_t words, int lanes);
+
+/// How many ranges partition_word_ranges(words, lanes) returns:
+/// min(words, lanes), 0 when either is 0.
+inline std::size_t lane_count(std::size_t words, int lanes) {
+  return lanes <= 0 ? 0 : std::min(words, static_cast<std::size_t>(lanes));
+}
+
+/// Range i of partition_word_ranges(words, lanes) for count =
+/// lane_count(words, lanes) and i < count, in O(1) and without allocating
+/// (the parallel passes use this; the property tests pin it to the
+/// reference partition).
+inline WordRange word_range(std::size_t words, std::size_t count,
+                            std::size_t i) {
+  const std::size_t base = words / count;
+  const std::size_t extra = words % count;
+  const std::size_t begin = i * base + std::min(i, extra);
+  return WordRange{begin, begin + base + (i < extra ? 1 : 0)};
+}
 
 /// O(1) push-destination sampler with degree-bucketed alias tables.
 ///
@@ -209,8 +231,9 @@ class FrontierKernel {
     /// Resolved in-round worker-lane count (>= 1; processes run
     /// core::resolve_kernel_threads on ProcessOptions::kernel_threads
     /// first). 1 keeps every scan on the calling thread; above 1 the dense
-    /// scans and the commit merge fan out over a kernel-owned thread pool
-    /// of kernel_threads - 1 workers (the calling thread drives lane 0).
+    /// scans and the commit merge fan out over the kernel's
+    /// util::ForkJoinTeam of kernel_threads - 1 workers plus the calling
+    /// thread, built on the first parallel pass.
     /// Bit-for-bit identical results at every setting.
     int kernel_threads = 1;
     /// Optional pre-built sampler shared across replicates; must match the
@@ -538,12 +561,9 @@ class FrontierKernel {
                                       Body&& body) {
     if (dense_repr_) {
       const auto& words = frontier_.words();
-      const std::vector<WordRange> ranges =
-          partition_word_ranges(words.size(), threads_);
       return run_dense_lanes(
-          static_cast<int>(ranges.size()), dest, /*local_writes=*/false,
-          [&](int li, DenseLane& lane) {
-            const WordRange r = ranges[static_cast<std::size_t>(li)];
+          words.size(), dest, /*local_writes=*/false,
+          [&](WordRange r, DenseLane& lane) {
             lane.metrics().words_scanned += r.end - r.begin;
             for (std::size_t w = r.begin; w < r.end; ++w) {
               std::uint64_t bits = words[w];
@@ -556,12 +576,9 @@ class FrontierKernel {
             }
           });
     }
-    const std::vector<WordRange> ranges =
-        partition_word_ranges(active_.size(), threads_);
     return run_dense_lanes(
-        static_cast<int>(ranges.size()), dest, /*local_writes=*/false,
-        [&](int li, DenseLane& lane) {
-          const WordRange r = ranges[static_cast<std::size_t>(li)];
+        active_.size(), dest, /*local_writes=*/false,
+        [&](WordRange r, DenseLane& lane) {
           for (std::size_t i = r.begin; i < r.end; ++i) body(lane, active_[i]);
         });
   }
@@ -581,14 +598,11 @@ class FrontierKernel {
                                         Body&& body) {
     const std::size_t n = graph_->num_vertices();
     const std::size_t nwords = (n + 63) >> 6;
-    const std::vector<WordRange> ranges =
-        partition_word_ranges(nwords, threads_);
     if (dense_repr_) {
       const auto& words = frontier_.words();
       return run_dense_lanes(
-          static_cast<int>(ranges.size()), dest, /*local_writes=*/false,
-          [&](int li, DenseLane& lane) {
-            const WordRange r = ranges[static_cast<std::size_t>(li)];
+          nwords, dest, /*local_writes=*/false,
+          [&](WordRange r, DenseLane& lane) {
             lane.metrics().words_scanned += r.end - r.begin;
             for (std::size_t w = r.begin; w < r.end; ++w) {
               std::uint64_t bits = ~words[w];
@@ -603,9 +617,8 @@ class FrontierKernel {
           });
     }
     return run_dense_lanes(
-        static_cast<int>(ranges.size()), dest, /*local_writes=*/false,
-        [&](int li, DenseLane& lane) {
-          const WordRange r = ranges[static_cast<std::size_t>(li)];
+        nwords, dest, /*local_writes=*/false,
+        [&](WordRange r, DenseLane& lane) {
           const std::size_t end = std::min(r.end << 6, n);
           for (std::size_t u = r.begin << 6; u < end; ++u)
             if (stamp_[u] != epoch_)
@@ -619,12 +632,9 @@ class FrontierKernel {
   /// lane.user.
   template <typename Body>
   std::uint64_t scatter_vertex_scan(Body&& body) {
-    const std::size_t n = graph_->num_vertices();
-    const std::vector<WordRange> ranges = partition_word_ranges(n, threads_);
     return run_dense_lanes(
-        static_cast<int>(ranges.size()), next_frontier_,
-        /*local_writes=*/false, [&](int li, DenseLane& lane) {
-          const WordRange r = ranges[static_cast<std::size_t>(li)];
+        graph_->num_vertices(), next_frontier_, /*local_writes=*/false,
+        [&](WordRange r, DenseLane& lane) {
           for (std::size_t u = r.begin; u < r.end; ++u)
             body(lane, static_cast<graph::VertexId>(u));
         });
@@ -641,12 +651,9 @@ class FrontierKernel {
   std::uint64_t local_marked_scan(const util::DynamicBitset& marked,
                                   Body&& body) {
     const auto& words = marked.words();
-    const std::vector<WordRange> ranges =
-        partition_word_ranges(words.size(), threads_);
     return run_dense_lanes(
-        static_cast<int>(ranges.size()), next_frontier_,
-        /*local_writes=*/true, [&](int li, DenseLane& lane) {
-          const WordRange r = ranges[static_cast<std::size_t>(li)];
+        words.size(), next_frontier_, /*local_writes=*/true,
+        [&](WordRange r, DenseLane& lane) {
           for (std::size_t w = r.begin; w < r.end; ++w) {
             std::uint64_t bits = words[w];
             while (bits != 0) {
@@ -666,11 +673,8 @@ class FrontierKernel {
   /// lane.user.
   template <typename Body>
   std::uint64_t plain_vertex_scan(Body&& body) {
-    const std::size_t n = graph_->num_vertices();
-    const std::vector<WordRange> ranges = partition_word_ranges(n, threads_);
     return run_sparse_lanes(
-        static_cast<int>(ranges.size()), [&](int li, SparseLane& lane) {
-          const WordRange r = ranges[static_cast<std::size_t>(li)];
+        graph_->num_vertices(), [&](WordRange r, SparseLane& lane) {
           for (std::size_t u = r.begin; u < r.end; ++u)
             body(lane, static_cast<graph::VertexId>(u));
         });
@@ -689,80 +693,77 @@ class FrontierKernel {
   std::uint32_t commit(Commit policy);
 
  private:
-  /// Drives one dense scan across `lanes` lanes: lane 0 runs inline on the
-  /// calling thread, lanes 1..lanes-1 on the kernel's pool. With
-  /// local_writes every lane targets `dest` directly (the body's emissions
-  /// stay inside the lane's own words); otherwise lanes >= 1 target
-  /// per-lane scratch bitsets, zeroed at task start and OR-merged into
-  /// `dest` in lane order after the join. Returns the lane-ordered sum of
-  /// lane.user and folds lane telemetry into the kernel block.
+  /// Drives one dense scan of [0, items) across lane_count(items,
+  /// threads_) lanes, lane i taking word_range(items, lanes, i); any thread
+  /// of the team may run any lane. With local_writes every lane targets
+  /// `dest` directly (the body's emissions stay inside the lane's own
+  /// words); otherwise lane 0 targets `dest` and lanes >= 1 per-lane
+  /// scratch bitsets, zeroed at lane start and OR-merged into `dest` in
+  /// lane order after the join. Returns the lane-ordered sum of lane.user
+  /// and folds lane telemetry into the kernel block.
   template <typename Task>
-  std::uint64_t run_dense_lanes(int lanes, util::DynamicBitset& dest,
+  std::uint64_t run_dense_lanes(std::size_t items, util::DynamicBitset& dest,
                                 bool local_writes, Task&& task) {
-    if (lanes <= 0) return 0;
+    const std::size_t lanes = lane_count(items, threads_);
+    if (lanes == 0) return 0;
     if (lanes == 1) {
       DenseLane lane(dest.data());
-      task(0, lane);
+      task(WordRange{0, items}, lane);
       fold_lane(lane.block_);
       return lane.user;
     }
     if (!local_writes) ensure_lane_scratch(lanes - 1);
-    std::vector<DenseLane> lane_objs;
-    lane_objs.reserve(static_cast<std::size_t>(lanes));
-    lane_objs.push_back(DenseLane(dest.data()));
-    for (int i = 1; i < lanes; ++i)
-      lane_objs.push_back(DenseLane(
-          local_writes
-              ? dest.data()
-              : lane_scratch_[static_cast<std::size_t>(i - 1)].data()));
-    fork_join(lanes, [&](int i) {
-      if (!local_writes && i > 0)
-        lane_scratch_[static_cast<std::size_t>(i - 1)].reset_all();
-      task(i, lane_objs[static_cast<std::size_t>(i)]);
+    dense_lanes_.reserve(static_cast<std::size_t>(threads_));
+    dense_lanes_.clear();
+    dense_lanes_.push_back(DenseLane(dest.data()));
+    for (std::size_t i = 1; i < lanes; ++i)
+      dense_lanes_.push_back(DenseLane(
+          local_writes ? dest.data() : lane_scratch_[i - 1].data()));
+    fork_join(lanes, [&](std::size_t i) {
+      if (!local_writes && i > 0) lane_scratch_[i - 1].reset_all();
+      task(word_range(items, lanes, i), dense_lanes_[i]);
     });
     std::uint64_t user = 0;
     const std::size_t merge_words = dest.words().size();
-    for (int i = 0; i < lanes; ++i) {
-      DenseLane& lane = lane_objs[static_cast<std::size_t>(i)];
+    for (std::size_t i = 0; i < lanes; ++i) {
+      DenseLane& lane = dense_lanes_[i];
       if (!local_writes && i > 0)
-        util::simd::or_words(
-            dest.data(),
-            lane_scratch_[static_cast<std::size_t>(i - 1)].data(),
-            merge_words);
+        util::simd::or_words(dest.data(), lane_scratch_[i - 1].data(),
+                             merge_words);
       user += lane.user;
       fold_lane(lane.block_);
     }
     return user;
   }
 
-  /// Drives one sparse plain scan across `lanes` lanes: lane 0 appends to
-  /// next_ inline, lanes >= 1 to per-lane vectors concatenated in lane
-  /// order after the join. Returns the lane-ordered sum of lane.user.
+  /// Drives one sparse plain scan of [0, items) across lane_count(items,
+  /// threads_) lanes: lane 0 appends to next_, lanes >= 1 to per-lane
+  /// vectors concatenated in lane order after the join. Returns the
+  /// lane-ordered sum of lane.user.
   template <typename Task>
-  std::uint64_t run_sparse_lanes(int lanes, Task&& task) {
-    if (lanes <= 0) return 0;
+  std::uint64_t run_sparse_lanes(std::size_t items, Task&& task) {
+    const std::size_t lanes = lane_count(items, threads_);
+    if (lanes == 0) return 0;
     if (lanes == 1) {
       SparseLane lane(&next_);
-      task(0, lane);
+      task(WordRange{0, items}, lane);
       fold_lane(lane.block_);
       return lane.user;
     }
-    if (lane_out_.size() < static_cast<std::size_t>(lanes - 1))
-      lane_out_.resize(static_cast<std::size_t>(lanes - 1));
-    std::vector<SparseLane> lane_objs;
-    lane_objs.reserve(static_cast<std::size_t>(lanes));
-    lane_objs.push_back(SparseLane(&next_));
-    for (int i = 1; i < lanes; ++i)
-      lane_objs.push_back(
-          SparseLane(&lane_out_[static_cast<std::size_t>(i - 1)]));
-    fork_join(lanes, [&](int i) {
-      SparseLane& lane = lane_objs[static_cast<std::size_t>(i)];
+    if (lane_out_.size() < lanes - 1) lane_out_.resize(lanes - 1);
+    sparse_lanes_.reserve(static_cast<std::size_t>(threads_));
+    sparse_lanes_.clear();
+    sparse_lanes_.push_back(SparseLane(&next_));
+    for (std::size_t i = 1; i < lanes; ++i)
+      sparse_lanes_.push_back(SparseLane(&lane_out_[i - 1]));
+    fork_join(lanes, [&](std::size_t i) {
+      SparseLane& lane = sparse_lanes_[i];
       if (i > 0) lane.target_->clear();
-      task(i, lane);
+      task(word_range(items, lanes, i), lane);
     });
     std::uint64_t user = 0;
-    for (int i = 0; i < lanes; ++i) {
-      SparseLane& lane = lane_objs[static_cast<std::size_t>(i)];
+    for (std::size_t i = 0; i < lanes; ++i) {
+      SparseLane& lane = sparse_lanes_[i];
       if (i > 0)
         next_.insert(next_.end(), lane.target_->begin(), lane.target_->end());
       user += lane.user;
@@ -772,35 +773,21 @@ class FrontierKernel {
   }
 
   /// The kernel's one fork-join: runs lane_fn(i) for every lane i in
-  /// [0, lanes), lanes 1..lanes-1 as tasks on the kernel's pool and lane 0
-  /// inline on the calling thread, and returns once every lane is done.
-  /// Callers fold per-lane results in lane order afterwards. Needs
-  /// lanes >= 2 (single-lane passes stay on the calling thread without
-  /// touching the pool). When lanes throw, every lane is still joined
-  /// before the lowest-numbered lane's exception is rethrown: no task may
-  /// outlive the caller's frame it reads.
+  /// [0, lanes) on the kernel's util::ForkJoinTeam (threads_ - 1 workers
+  /// plus the caller, each claiming the next unstarted lane; built on the
+  /// first parallel pass) and returns once every lane is done. Callers fold
+  /// per-lane results in lane order afterwards, so which thread ran a lane
+  /// never shows. Needs lanes >= 2 (single-lane passes stay on the calling
+  /// thread). When lanes throw, every lane still finishes before the
+  /// lowest-numbered lane's exception is rethrown: no lane may outlive the
+  /// caller's frame it reads.
   template <typename LaneFn>
-  void fork_join(int lanes, LaneFn&& lane_fn) {
+  void fork_join(std::size_t lanes, LaneFn&& lane_fn) {
     COBRA_DCHECK(lanes >= 2);
-    ensure_lane_pool();
-    std::vector<std::future<void>> pending;
-    pending.reserve(static_cast<std::size_t>(lanes - 1));
-    for (int i = 1; i < lanes; ++i)
-      pending.push_back(pool_->submit([&lane_fn, i] { lane_fn(i); }));
-    std::exception_ptr error;
-    try {
-      lane_fn(0);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    for (std::future<void>& f : pending) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-    }
-    if (error) std::rethrow_exception(error);
+    if (!team_)
+      team_ = std::make_unique<util::ForkJoinTeam>(
+          static_cast<std::size_t>(threads_ - 1));
+    team_->run(lanes, lane_fn);
   }
 
   /// Folds a lane's telemetry block into the kernel's (no-op when
@@ -809,15 +796,12 @@ class FrontierKernel {
     if (metrics_ != nullptr) metrics_->merge_from(block);
   }
 
-  /// Spins up the lane pool (threads_ - 1 workers) on first parallel scan.
-  void ensure_lane_pool();
-
   /// Sizes `count` per-lane scratch bitsets to the graph (lazily; a
   /// serial-only run never pays).
-  void ensure_lane_scratch(int count);
+  void ensure_lane_scratch(std::size_t count);
 
   /// The dense-commit visited merge over the next frontier's words, SIMD
-  /// within ranges and fanned out over the lane pool when the word count
+  /// within ranges and fanned out over the lanes when the word count
   /// warrants it (never affects the counters — lane sums are exact).
   void merge_visited_parallel(std::size_t words, std::uint64_t* newly,
                               std::uint64_t* active);
@@ -865,14 +849,18 @@ class FrontierKernel {
   std::uint64_t dense_rounds_ = 0;
   std::uint64_t rounds_committed_ = 0;  // since assign(); trajectory index
 
-  // Lane-parallel machinery (only materialised when threads_ > 1 and a
-  // parallel scan actually runs): the kernel-owned pool of threads_ - 1
-  // workers, per-lane next-frontier scratch for scatter scans, and
-  // per-lane emission vectors for the sparse plain scan.
+  // Lane-parallel machinery, built on the first parallel pass and reused
+  // by every later one, so a parallel round allocates nothing: the team
+  // of threads_ - 1 workers, the lane contexts, per-lane next-frontier
+  // scratch for scatter scans, per-lane emission vectors for the sparse
+  // plain scan, and per-lane sums for the commit merges.
   int threads_ = 1;
-  std::unique_ptr<util::ThreadPool> pool_;
+  std::unique_ptr<util::ForkJoinTeam> team_;
+  std::vector<DenseLane> dense_lanes_;
+  std::vector<SparseLane> sparse_lanes_;
   std::vector<util::DynamicBitset> lane_scratch_;
   std::vector<std::vector<graph::VertexId>> lane_out_;
+  std::vector<std::uint64_t> lane_sums_;
 
   // Attached telemetry block (Config::metrics, else the thread's session
   // block, else null). Owned elsewhere; mutated from const scans, hence

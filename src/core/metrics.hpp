@@ -14,7 +14,7 @@
 // calling thread's session block — created on demand iff the session
 // metrics mode (COBRA_METRICS / --metrics) is not "off" — so the runner
 // gets telemetry from unmodified experiment code. The runner folds all
-// session blocks at each cell boundary (the Monte-Carlo pool is idle
+// session blocks at each cell boundary (the Monte-Carlo team is idle
 // there) with drain_cell_metrics() and writes the result to the cell's
 // metrics sidecar (runner/telemetry.hpp).
 #pragma once
@@ -30,7 +30,7 @@ namespace cobra::core {
 /// One round's aggregate across every process/replicate that committed a
 /// round with that index since the last drain (rounds mode only). Sums of
 /// uint64 are order-independent, so the trajectory is deterministic no
-/// matter how the thread pool schedules replicates.
+/// matter how the fork-join team schedules replicates.
 struct RoundStat {
   /// Processes that committed this round index.
   std::uint64_t processes = 0;
@@ -100,7 +100,7 @@ StepMetrics* session_step_metrics();
 
 /// Folds and resets every thread's session block (plus the counts of
 /// threads that have exited). Call only at quiescence — in the runner,
-/// cell boundaries after the Monte-Carlo pool joined its tasks.
+/// cell boundaries after the Monte-Carlo team joined its replicates.
 StepMetrics drain_session_step_metrics();
 
 /// Publishes a drained block into the util::MetricsRegistry under

@@ -4,7 +4,7 @@
 
 #include "rng/stream.hpp"
 #include "util/env.hpp"
-#include "util/thread_pool.hpp"
+#include "util/fork_join_team.hpp"
 
 namespace cobra::sim {
 
@@ -14,23 +14,16 @@ void parallel_replicates(
     std::uint64_t count, std::uint64_t seed,
     const std::function<void(std::uint64_t, rng::Rng&)>& body) {
   if (count == 0) return;
-  const int workers =
-      static_cast<int>(std::min<std::uint64_t>(count,
-                                               static_cast<std::uint64_t>(
-                                                   worker_count())));
-  if (workers <= 1) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      rng::Rng rng = rng::make_stream(seed, i);
-      body(i, rng);
-    }
-    return;
-  }
-  util::ThreadPool pool(static_cast<std::size_t>(workers));
-  pool.parallel_for_index(static_cast<std::size_t>(count),
-                          [&](std::size_t i) {
-                            rng::Rng rng = rng::make_stream(seed, i);
-                            body(i, rng);
-                          });
+  // The caller is one of the `workers` threads; replicates are claimed one
+  // at a time (cover times are heavy-tailed, so static chunks would
+  // straggle).
+  const std::uint64_t workers = std::min<std::uint64_t>(
+      count, static_cast<std::uint64_t>(worker_count()));
+  util::ForkJoinTeam team(static_cast<std::size_t>(workers - 1));
+  team.run(static_cast<std::size_t>(count), [&](std::size_t i) {
+    rng::Rng rng = rng::make_stream(seed, i);
+    body(i, rng);
+  });
 }
 
 std::vector<double> run_replicates(

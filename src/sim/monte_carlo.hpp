@@ -2,8 +2,11 @@
 //
 // Replicate i always receives the RNG stream (seed, i) from the Philox
 // counter construction (rng/stream.hpp), so results are bitwise identical
-// for any thread count or schedule. Replicates run dynamically scheduled
-// on a util::ThreadPool, or serially on the caller at a thread cap of 1.
+// for any thread count or schedule. Replicates are claimed one at a time
+// by a util::ForkJoinTeam of worker_count() - 1 threads plus the caller
+// (just the caller at a thread cap of 1); kernel lanes inside a replicate
+// run on that replicate's kernel's own lane team, so replicate threads ×
+// lanes is the whole thread count.
 #pragma once
 
 #include <cstdint>

@@ -4,9 +4,9 @@
 //
 // The determinism contract (archives byte-identical at every lane count,
 // engine and metrics mode) leans on a handful of carefully guarded shared
-// structures: the thread pool's task queue, the metrics registry's slot
-// bookkeeping, the spectral and graph caches, and the sweep supervisor's
-// shard board. Clang's -Wthread-safety analysis proves, at compile time,
+// structures: the fork-join team's lowest-index exception slot, the metrics
+// registry's slot bookkeeping, the spectral and graph caches, and the sweep
+// supervisor's shard board. Clang's -Wthread-safety analysis proves, at compile time,
 // that every access to those structures happens under the declared lock —
 // the static counterpart of the TSan CI job.
 //

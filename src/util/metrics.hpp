@@ -17,8 +17,8 @@
 // Thread model: every thread that touches a metric gets its own slot
 // array (registered with the registry on first use). drain()/snapshot()
 // fold all thread arrays; callers must only drain at quiescence — in the
-// runner that is a cell boundary, after the Monte-Carlo pool has joined
-// its tasks (task completion gives the happens-before edge).
+// runner that is a cell boundary, after the Monte-Carlo team has joined
+// its replicates (the join gives the happens-before edge).
 //
 // Collection is gated by the session metrics mode (COBRA_METRICS /
 // --metrics = off|summary|rounds). Cold call sites use count()/observe()
@@ -168,7 +168,7 @@ class MetricsRegistry {
   /// Folds every thread's slots into a snapshot. With `reset`, also
   /// zeroes all slots — the per-cell "snapshot and reset" the runner
   /// uses. Caller must guarantee no thread is concurrently updating
-  /// (cell boundaries after pool joins).
+  /// (cell boundaries after team joins).
   MetricsSnapshot drain(bool reset = true);
 
   /// Upper bound on registered slots (histograms use 65 each). Fixed so

@@ -2,7 +2,8 @@
 // frontier kernel rests on:
 //   * partition_word_ranges: the ranges tile [0, words) exactly once,
 //     are contiguous, non-empty and near-equal, for adversarial
-//     (words, lanes) combinations;
+//     (words, lanes) combinations — and lane_count/word_range, the O(1)
+//     form the parallel passes use, reproduce it range for range;
 //   * util/simd: the AVX2 kernels and the scalar fallbacks compute
 //     bit-identical results on randomized inputs (so SIMD dispatch can
 //     never perturb fixed-seed archives).
@@ -63,7 +64,7 @@ TEST(PartitionWordRanges, TilesTheIntervalExactlyOnce) {
 
 TEST(PartitionWordRanges, LongerRangesComeFirst) {
   // 10 words over 4 lanes: 3,3,2,2 — the remainder pads the head, so
-  // lane 0 (which runs inline on the calling thread) is never the one
+  // the lanes claimed first carry the longer ranges and no late claim is
   // left waiting on a longer tail.
   const auto ranges = partition_word_ranges(10, 4);
   ASSERT_EQ(ranges.size(), 4u);
@@ -71,6 +72,24 @@ TEST(PartitionWordRanges, LongerRangesComeFirst) {
   EXPECT_EQ(ranges[1].end - ranges[1].begin, 3u);
   EXPECT_EQ(ranges[2].end - ranges[2].begin, 2u);
   EXPECT_EQ(ranges[3].end - ranges[3].begin, 2u);
+}
+
+TEST(PartitionWordRanges, WordRangeMatchesTheReference) {
+  for (std::size_t words = 0; words <= 300; ++words) {
+    for (const int lanes : {0, 1, 2, 3, 4, 7, 8, 13, 64, 255, 256}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "words=" << words << " lanes=" << lanes);
+      const std::vector<WordRange> ranges =
+          partition_word_ranges(words, lanes);
+      const std::size_t count = core::lane_count(words, lanes);
+      ASSERT_EQ(count, ranges.size());
+      for (std::size_t i = 0; i < count; ++i) {
+        const WordRange r = core::word_range(words, count, i);
+        EXPECT_EQ(r.begin, ranges[i].begin);
+        EXPECT_EQ(r.end, ranges[i].end);
+      }
+    }
+  }
 }
 
 /// Randomized word blocks with all-ones / all-zeros stretches mixed in,
