@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regression-threshold checks for the committed benchmark baselines.
 
-Three suites, selected with --suite (default: step). Each guards one
-fast-vs-slow pair that encodes the suite's headline claim:
+Suites, selected with --suite (default: step). step, bips and graph_io
+each guard one fast-vs-slow pair that encodes the suite's headline claim;
+the others are described with their semantics:
 
   step      bench_results/BENCH_step.json, produced by micro_cobra. The
             guarded pair is dense vs reference for the steady-state COBRA
@@ -36,6 +37,16 @@ fast-vs-slow pair that encodes the suite's headline claim:
             shows the generating machine had >= 4 CPUs, and loudly
             SKIPPED otherwise (a 1-CPU box cannot measure scaling; the
             overhead ceiling is the portable half of the gate).
+  spectral  bench_results/BENCH_spectral.json, produced by micro_spectral.
+            Every BM_Lanczos entry must have converged (its lambda_err
+            counter <= 1e-8, the solver's residual tolerance), and its
+            time per Lanczos step (real_time / steps) must stay within 8x
+            of BM_NormalizedMatvec on the same graph. Both sides of that
+            ratio come from one file, so it holds across machines; a
+            re-orthogonalisation against the whole basis, O(k n) per step,
+            would cost >= 50x at k ~ 200. Runs in both modes (the second
+            file, if given, is ignored); CI checks the committed file and
+            a fresh run with the same bound.
 
 Two modes:
 
@@ -63,6 +74,9 @@ Regenerate the baselines with:
       --benchmark_out_format=json
   ./build/bench/micro_metrics \
       --benchmark_out=bench_results/BENCH_metrics.json \
+      --benchmark_out_format=json
+  ./build/bench/micro_spectral \
+      --benchmark_out=bench_results/BENCH_spectral.json \
       --benchmark_out_format=json
 """
 
@@ -94,9 +108,53 @@ SUITES = {
                      "graph": "regular_65536_r8",
                      "serial_prefix": "BM_BipsRound/",
                      "serial_label": "regular_65536_r8/dense"},
+    # Handled by check_spectral: per-entry convergence and a same-file
+    # step-cost ratio, no slow/fast pair.
+    "spectral": {"prefix": "BM_Lanczos/",
+                 "matvec_prefix": "BM_NormalizedMatvec/"},
 }
 
 THREAD_SUITES = ("step_threads", "bips_threads")
+SPECTRAL_RESIDUAL_TOL = 1e-8  # spectral::kLambdaResidualTol
+SPECTRAL_MAX_STEP_RATIO = 8.0  # Lanczos step / matvec, same graph
+
+# Google Benchmark time units, in nanoseconds.
+TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def real_time_ns(bench):
+    return bench["real_time"] * TIME_UNIT_NS[bench.get("time_unit", "ns")]
+
+
+def check_spectral(benches):
+    """Every Lanczos solve converged, and a step costs a few matvecs."""
+    s = SUITES["spectral"]
+    lanczos = [b for b in benches if b["name"].startswith(s["prefix"])]
+    if not lanczos:
+        sys.exit(f"missing {s['prefix']}* entries")
+    failures = []
+    for b in lanczos:
+        label = b.get("label", "")
+        matvec = step_time_ns(benches, s["matvec_prefix"], label)
+        err, steps = b.get("lambda_err"), b.get("steps")
+        if err is None or steps is None or steps <= 0:
+            sys.exit(f"{b['name']} [{label}]: missing lambda_err/steps "
+                     f"counters")
+        ratio = real_time_ns(b) / steps / matvec
+        print(f"[spectral] {label}: {steps:.0f} steps, lambda_err "
+              f"{err:.2e} (allowed <= {SPECTRAL_RESIDUAL_TOL:.0e}), step "
+              f"{real_time_ns(b) / steps / 1e3:.1f} us = {ratio:.2f}x matvec "
+              f"{matvec / 1e3:.1f} us (allowed <= "
+              f"{SPECTRAL_MAX_STEP_RATIO:.0f}x)")
+        if err > SPECTRAL_RESIDUAL_TOL:
+            failures.append(f"{label}: lambda_err {err:.2e} > "
+                            f"{SPECTRAL_RESIDUAL_TOL:.0e} (not converged)")
+        if ratio > SPECTRAL_MAX_STEP_RATIO:
+            failures.append(f"{label}: Lanczos step {ratio:.2f}x matvec > "
+                            f"{SPECTRAL_MAX_STEP_RATIO:.0f}x")
+    if failures:
+        sys.exit("FAIL: " + "; ".join(failures))
+    print("OK")
 SCALING_THREADS = 4  # the gated lane count of the *_threads suites
 
 
@@ -184,11 +242,19 @@ def load(path):
     return load_doc(path)[0]
 
 
-def step_time(benches, prefix, label):
+def find_bench(benches, prefix, label):
     for b in benches:
         if b["name"].startswith(prefix) and b.get("label") == label:
-            return b["real_time"]
+            return b
     sys.exit(f"missing {prefix}* entry labelled {label!r}")
+
+
+def step_time(benches, prefix, label):
+    return find_bench(benches, prefix, label)["real_time"]
+
+
+def step_time_ns(benches, prefix, label):
+    return real_time_ns(find_bench(benches, prefix, label))
 
 
 def check_baseline(benches, suite, min_speedup):
@@ -258,6 +324,8 @@ def main():
                      "BENCH_step.json")
         check_metrics_overhead(baseline, load(args.step_baseline),
                                args.max_overhead)
+    elif args.suite == "spectral":
+        check_spectral(baseline)
     elif args.suite in THREAD_SUITES:
         check_thread_scaling(baseline, context, args.suite,
                              args.min_speedup, args.max_overhead)

@@ -11,12 +11,14 @@
 //   adjacency   degree_sum x u32 neighbour ids, 64-byte aligned.
 //
 // The 64-byte section alignment means an mmap'd file can be used in place:
-// load_cgr_file(kMapped) validates the header, spot-checks the CSR frame
-// (offsets[0] == 0, offsets[n] == degree_sum) and adopts the mapping as
-// the graph's storage backend — O(header) work, no allocation proportional
-// to the graph. The fingerprint is computed once at ingest/write time and
-// trusted from the header on load; pass `verify = true` (cobra graph info
-// --verify) to rehash and deep-validate the structure instead.
+// load_cgr_file(kMapped) validates the header and the CSR's index ranges
+// (offsets monotone from 0 to degree_sum, every neighbour id < n: plain
+// O(n + m) scans, so a flipped word is a located error rather than an
+// out-of-bounds read) and adopts the mapping as the graph's storage
+// backend, with no allocation proportional to the graph. The fingerprint
+// is computed once at ingest/write time and trusted from the header on
+// load; pass `verify = true` (cobra graph info --verify) to rehash and
+// deep-validate the structure as well.
 #pragma once
 
 #include <cstdint>
@@ -59,15 +61,15 @@ CgrInfo read_cgr_header(const std::string& path);
 
 /// How load_cgr_file should back the graph.
 enum class CgrLoadMode {
-  kMapped,  ///< mmap the file; shared, lazily faulted, O(header) open
+  kMapped,  ///< mmap the file; shared, no copy of the sections
   kOwned,   ///< copy the sections into vectors (anonymous memory)
 };
 
-/// Opens a `.cgr` file as a Graph. Header validation and CSR frame spot
-/// checks always run; `verify` additionally rehashes the arrays against
-/// the stored fingerprint and deep-validates the structure (sortedness,
-/// id ranges, no self-loops) — O(n + m), for `cobra graph info --verify`
-/// and distrusted files.
+/// Opens a `.cgr` file as a Graph. Header validation and the CSR range
+/// checks (monotone offsets, neighbour ids < n) always run; `verify`
+/// additionally rehashes the arrays against the stored fingerprint and
+/// checks sortedness and the absence of self-loops, for `cobra graph info
+/// --verify` and distrusted files.
 Graph load_cgr_file(const std::string& path,
                     CgrLoadMode mode = CgrLoadMode::kMapped,
                     bool verify = false);

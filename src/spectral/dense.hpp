@@ -1,8 +1,8 @@
 // Dense symmetric eigenvalue machinery (exact oracle for small graphs).
 //
-// The large-graph path (power iteration / Lanczos) is validated against the
-// cyclic Jacobi solver here, which is slow (O(n^3) per sweep) but
-// unconditionally robust and accurate to machine precision.
+// The large-graph path (Lanczos) is validated against the cyclic Jacobi
+// solver here, which is slow (O(n^3) per sweep) but unconditionally
+// robust and accurate to machine precision.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,18 @@
 #include "spectral/spectral.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <numbers>
+#include <sstream>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "rng/splitmix64.hpp"
 #include "rng/stream.hpp"
 #include "spectral/dense.hpp"
 #include "spectral/lanczos.hpp"
-#include "spectral/power.hpp"
 #include "util/annotations.hpp"
 #include "util/assert.hpp"
 #include "util/metrics.hpp"
@@ -29,14 +33,9 @@ SpectralInfo compute_lambda(const graph::Graph& g, std::uint64_t seed,
   } else {
     rng::Rng rng = rng::make_stream(seed, /*stream_id=*/0x5eed);
     const LanczosResult lz = lanczos_extremes(g, rng);
-    if (lz.converged) {
-      info.lambda = lz.lambda;
-    } else {
-      // Lanczos hit its step cap without stabilising; fall back to the
-      // squared power iteration, which is slower but monotone.
-      rng::Rng rng2 = rng::make_stream(seed, /*stream_id=*/0x5eed + 1);
-      info.lambda = power_lambda(g, rng2).lambda;
-    }
+    info.lambda = lz.lambda;
+    info.lambda_err = lz.lambda_err;
+    info.steps = lz.steps;
     info.exact = false;
   }
   info.lambda = std::min(1.0, std::max(0.0, info.lambda));
@@ -174,7 +173,44 @@ double lambda2_torus(graph::VertexId side, std::uint32_t dim) {
   return ((d - 1.0) + c) / d;
 }
 
+double lambda_torus(graph::VertexId side, std::uint32_t dim) {
+  COBRA_CHECK(side >= 3 && dim >= 1);
+  if (side % 2 == 0) return 1.0;  // bipartite: mu_min = -1
+  // mu_min takes k_j = (side - 1)/2 on every axis: -cos(pi/side). Up to
+  // three dimensions it beats mu_2 in absolute value; from four on, mu_2
+  // is larger.
+  return std::max(lambda2_torus(side, dim),
+                  std::cos(std::numbers::pi / static_cast<double>(side)));
+}
+
 double lambda_petersen() { return 2.0 / 3.0; }
+
+namespace {
+
+// (side, dim) of a "torus(SxSx...xS)" name with one side >= 3 on every
+// axis, as torus_power names it; nullopt for any other shape.
+std::optional<std::pair<graph::VertexId, std::uint32_t>> torus_shape(
+    const std::string& name) {
+  if (name.rfind("torus(", 0) != 0 || name.back() != ')') return std::nullopt;
+  std::istringstream in(name.substr(6, name.size() - 7));
+  graph::VertexId side = 0;
+  std::uint32_t dim = 0;
+  std::string part;
+  while (std::getline(in, part, 'x')) {
+    graph::VertexId s = 0;
+    const auto [end, ec] =
+        std::from_chars(part.data(), part.data() + part.size(), s);
+    if (ec != std::errc() || end != part.data() + part.size() || s < 3 ||
+        (dim > 0 && s != side))
+      return std::nullopt;
+    side = s;
+    ++dim;
+  }
+  if (dim == 0) return std::nullopt;
+  return std::make_pair(side, dim);
+}
+
+}  // namespace
 
 std::optional<double> theory_lambda(const graph::Graph& g) {
   const std::string& name = g.name();
@@ -189,6 +225,8 @@ std::optional<double> theory_lambda(const graph::Graph& g) {
   if (starts_with("star(")) return 1.0;  // K_{1,n-1} is complete bipartite
   if (starts_with("hypercube(")) return lambda_hypercube(1);
   if (name == "petersen") return lambda_petersen();
+  if (const auto torus = torus_shape(name))
+    return lambda_torus(torus->first, torus->second);
   return std::nullopt;
 }
 

@@ -16,14 +16,17 @@
 namespace cobra::spectral {
 
 struct SpectralInfo {
-  double lambda = 0.0;  // max_{i >= 2} |mu_i|
-  double gap = 0.0;     // 1 - lambda
-  bool exact = false;   // dense solve (true) vs iterative (false)
+  double lambda = 0.0;      // max_{i >= 2} |mu_i|
+  double gap = 0.0;         // 1 - lambda
+  bool exact = false;       // dense solve (true) vs iterative (false)
+  double lambda_err = 0.0;  // Lanczos Ritz residual bound (0 when dense)
+  std::uint32_t steps = 0;  // Lanczos steps (0 when dense)
 };
 
-/// Computes lambda(G). Dense Jacobi for n <= `dense_threshold`; Lanczos
-/// (power-iteration fallback) above. `seed` controls iterative start
-/// vectors only.
+/// Computes lambda(G). Dense Jacobi for n <= `dense_threshold`; above it,
+/// a certified Lanczos solve (lanczos.hpp) whose Ritz residual bound is
+/// returned as `lambda_err`; a graph it cannot certify throws
+/// util::CheckError. `seed` controls the iterative start vector only.
 SpectralInfo compute_lambda(const graph::Graph& g, std::uint64_t seed = 1,
                             graph::VertexId dense_threshold = 256);
 
@@ -54,8 +57,8 @@ void clear_spectral_cache();
 /// Closed-form lambda for families with known walk spectra. Returns nullopt
 /// if the name/parameters are not one of the known cases.
 /// Known: complete(n), cycle(n), hypercube(d), star(n),
-/// complete_bipartite(a,b), path(n) and torus_power(side, dim) second
-/// eigenvalue (see lambda2 below).
+/// complete_bipartite(a,b), path(n), petersen and torus_power(side, dim)
+/// with side >= 3 (lambda_torus).
 std::optional<double> theory_lambda(const graph::Graph& g);
 
 // Individual closed forms (walk matrix P eigenvalues).
@@ -69,6 +72,8 @@ double lambda_complete_bipartite();               // 1
 double lambda_path(graph::VertexId n);            // 1 (bipartite)
 double lambda2_path(graph::VertexId n);           // cos(pi/(n-1))
 double lambda2_torus(graph::VertexId side, std::uint32_t dim);
+// Even side: 1 (bipartite); odd side: max(lambda2_torus, cos(pi/side)).
+double lambda_torus(graph::VertexId side, std::uint32_t dim);
 double lambda_petersen();                         // 2/3
 
 /// Gap condition of Theorems 1.2/1.5: 1 - lambda > C sqrt(log n / n).

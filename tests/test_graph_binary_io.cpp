@@ -154,9 +154,8 @@ TEST(GraphBinaryIo, VerifyCatchesTamperedAdjacency) {
   std::string bytes = slurp(f.path);
   // Rewrite vertex 0's first neighbour from 1 to 2: the CSR stays
   // structurally valid (sorted, in range, loopless), so only the
-  // fingerprint rehash can tell the content changed. The default
-  // O(header) open trusts ingest-time validation and still succeeds;
-  // --verify must reject.
+  // fingerprint rehash can tell the content changed. The default open
+  // checks index ranges only and still succeeds; --verify must reject.
   std::uint64_t adj_offset = 0;
   std::memcpy(&adj_offset, bytes.data() + 80, sizeof(adj_offset));
   ASSERT_EQ(static_cast<unsigned char>(bytes[adj_offset]), 1u);
@@ -165,6 +164,54 @@ TEST(GraphBinaryIo, VerifyCatchesTamperedAdjacency) {
   EXPECT_NO_THROW((void)load_cgr_file(f.path, CgrLoadMode::kMapped));
   const std::string error = load_error(f.path, /*verify=*/true);
   EXPECT_NE(error.find("fingerprint mismatch"), std::string::npos)
+      << error;
+}
+
+// Byte offset of section `field` (80: adjacency, 64: offsets) in the
+// header, as written by write_cgr_file.
+std::uint64_t section_offset(const std::string& bytes, std::size_t field) {
+  std::uint64_t offset = 0;
+  std::memcpy(&offset, bytes.data() + field, sizeof(offset));
+  return offset;
+}
+
+TEST(GraphBinaryIo, DefaultOpenRejectsOutOfRangeNeighbour) {
+  // One flipped adjacency word of an ingested cycle_64 must fail the
+  // default open with a located error, not read out of bounds later.
+  const TempFile edges("test_cgr_flip.edges");
+  const TempFile f("test_cgr_flip.cgr");
+  std::string text = "64 64\n";
+  for (int u = 0; u < 64; ++u)
+    text += std::to_string(u) + " " + std::to_string((u + 1) % 64) + "\n";
+  spit(edges.path, text);
+  (void)ingest_edge_list_file(edges.path, f.path, "cycle_64");
+  std::string bytes = slurp(f.path);
+  const std::uint32_t flipped = 0x7fffffffu;
+  // Word 5 is vertex 2's second neighbour.
+  std::memcpy(bytes.data() + section_offset(bytes, 80) + 5 * sizeof(flipped),
+              &flipped, sizeof(flipped));
+  spit(f.path, bytes);
+  for (const bool verify : {false, true}) {
+    const std::string error = load_error(f.path, verify);
+    EXPECT_NE(error.find(f.path + ": corrupt .cgr (neighbour id 2147483647 "
+                                  "out of range at vertex 2)"),
+              std::string::npos)
+        << error;
+  }
+}
+
+TEST(GraphBinaryIo, DefaultOpenRejectsNonMonotoneOffsets) {
+  const TempFile f("test_cgr_offsets.cgr");
+  write_cgr_file(cycle(64), f.path);
+  std::string bytes = slurp(f.path);
+  // offsets[3] = 999 > offsets[4] = 8 (offsets[n] stays degree_sum).
+  const std::uint64_t bad = 999;
+  std::memcpy(bytes.data() + section_offset(bytes, 64) + 3 * sizeof(bad),
+              &bad, sizeof(bad));
+  spit(f.path, bytes);
+  const std::string error = load_error(f.path);
+  EXPECT_NE(error.find("corrupt .cgr (offsets not monotone at vertex 3)"),
+            std::string::npos)
       << error;
 }
 

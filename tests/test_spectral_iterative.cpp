@@ -1,23 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 
 #include "graph/generators.hpp"
+#include "graph/product.hpp"
 #include "graph/random_generators.hpp"
 #include "rng/stream.hpp"
 #include "spectral/dense.hpp"
 #include "spectral/lanczos.hpp"
-#include "spectral/power.hpp"
 #include "spectral/spectral.hpp"
 
 namespace cobra::spectral {
 namespace {
 
-double dense_lambda(const graph::Graph& g) {
-  const auto eig = walk_spectrum_dense(g);  // ascending
-  return std::max(std::fabs(eig.front()),
-                  std::fabs(eig[eig.size() - 2]));
-}
+// Families 13-17 are the larger ones: hypercube(6), products of odd
+// cycles, a sparse G(n, p) and a long lollipop.
+constexpr int kNumFamilies = 18;
 
 class IterativeVsDense : public ::testing::TestWithParam<int> {};
 
@@ -36,28 +35,73 @@ graph::Graph graph_case(int id) {
     case 9: return graph::connected_erdos_renyi(40, 2.0, rng);
     case 10: return graph::torus_power(5, 2);
     case 11: return graph::barbell(6, 3);
-    default: return graph::path(17);
+    case 12: return graph::path(17);
+    case 13: return graph::hypercube(6);
+    case 14:
+      return graph::cartesian_product(graph::cycle(15), graph::cycle(15));
+    case 15:
+      return graph::cartesian_product(graph::cycle(31), graph::cycle(15));
+    case 16: return graph::connected_erdos_renyi(600, 2.0, rng);
+    default: return graph::lollipop(200, 100);
   }
-}
-
-TEST_P(IterativeVsDense, PowerIterationMatchesJacobi) {
-  const graph::Graph g = graph_case(GetParam());
-  const double expected = dense_lambda(g);
-  rng::Rng rng = rng::make_stream(1, static_cast<std::uint64_t>(GetParam()));
-  const PowerResult pr = power_lambda(g, rng, 20000, 1e-12);
-  EXPECT_NEAR(pr.lambda, expected, 2e-4) << g.name();
 }
 
 TEST_P(IterativeVsDense, LanczosMatchesJacobi) {
   const graph::Graph g = graph_case(GetParam());
-  const double expected = dense_lambda(g);
+  const auto eig = walk_spectrum_dense(g);  // ascending
+  const double mu2 = eig[eig.size() - 2];
+  const double mu_min = eig.front();
+  const double expected = std::max(std::fabs(mu2), std::fabs(mu_min));
+
+  // The forced-iterative facade: certified to its own residual bound.
+  const auto info = compute_lambda(g, 2, /*dense_threshold=*/0);
+  EXPECT_FALSE(info.exact);
+  EXPECT_NEAR(info.lambda, expected, 1e-10) << g.name();
+  EXPECT_LE(info.lambda_err, kLambdaResidualTol) << g.name();
+  EXPECT_LE(std::fabs(info.lambda - expected), info.lambda_err + 1e-12)
+      << g.name();
+
+  // Ritz values of the deflated operator lie inside its spectrum.
   rng::Rng rng = rng::make_stream(2, static_cast<std::uint64_t>(GetParam()));
   const LanczosResult lz = lanczos_extremes(g, rng);
-  EXPECT_NEAR(lz.lambda, expected, 1e-6) << g.name();
+  EXPECT_LE(lz.mu2, mu2 + 1e-12) << g.name();
+  EXPECT_GE(lz.mu_min, mu_min - 1e-12) << g.name();
+  EXPECT_LE(lz.steps, g.num_vertices() + 16) << g.name();
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, IterativeVsDense,
-                         ::testing::Range(0, 13));
+                         ::testing::Range(0, kNumFamilies));
+
+TEST(Lanczos, OddCycleIsExact) {
+  // C_1025's extreme eigenvalues are ~4e-5 apart, its Krylov space has
+  // dimension 512: a rule that stops when lambda stalls quits early at
+  // 0.9999; the certified solve runs to exhaustion.
+  const auto info = compute_lambda(graph::cycle(1025), 1);
+  EXPECT_FALSE(info.exact);
+  EXPECT_NEAR(info.lambda, std::cos(std::numbers::pi / 1025.0), 1e-10);
+  EXPECT_LE(info.steps, 1025u);
+}
+
+TEST(Lanczos, RandomRegularMeetsFriedmanBound) {
+  // Friedman: random r-regular lambda <= 2 sqrt(r-1)/r + eps w.h.p.
+  for (const std::uint32_t r : {3u, 4u, 8u, 16u}) {
+    rng::Rng grng = rng::make_stream(20170724, r);
+    const graph::Graph g = graph::connected_random_regular(8192, r, grng);
+    const auto info = compute_lambda(g, 1);
+    const double ramanujan = 2.0 * std::sqrt(r - 1.0) / r;
+    EXPECT_LE(info.lambda_err, kLambdaResidualTol) << "r=" << r;
+    EXPECT_LE(info.lambda, ramanujan + 0.01) << "r=" << r;
+    EXPECT_GE(info.lambda, ramanujan - 0.05) << "r=" << r;
+  }
+}
+
+TEST(Lanczos, TorusMatchesClosedFormAboveTheDenseThreshold) {
+  const graph::Graph g = graph::torus_power(33, 2);  // n = 1089
+  const auto info = compute_lambda(g, 1);
+  EXPECT_FALSE(info.exact);
+  ASSERT_TRUE(theory_lambda(g).has_value());
+  EXPECT_NEAR(info.lambda, *theory_lambda(g), 1e-10);
+}
 
 TEST(ComputeLambda, DensePathIsExact) {
   const auto info = compute_lambda(graph::petersen());
@@ -73,7 +117,10 @@ TEST(ComputeLambda, IterativePathAgreesWithDense) {
   const auto iterative = compute_lambda(g, 1, /*dense_threshold=*/0);
   EXPECT_TRUE(exact.exact);
   EXPECT_FALSE(iterative.exact);
-  EXPECT_NEAR(exact.lambda, iterative.lambda, 1e-6);
+  EXPECT_NEAR(exact.lambda, iterative.lambda, 1e-10);
+  EXPECT_EQ(exact.lambda_err, 0.0);
+  EXPECT_EQ(exact.steps, 0u);
+  EXPECT_GT(iterative.steps, 0u);
   EXPECT_NEAR(exact.lambda, 1.0, 1e-10);  // bipartite
 }
 

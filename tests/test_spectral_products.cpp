@@ -39,7 +39,8 @@ TEST_P(TorusLambda, LanczosMatchesClosedForm) {
   const double exact = torus_lambda_exact(a, b);
   const auto info = compute_lambda(g, /*seed=*/9, /*dense_threshold=*/0);
   EXPECT_FALSE(info.exact);  // forced onto the iterative path
-  EXPECT_NEAR(info.lambda, exact, 1e-6) << "C_" << a << " box C_" << b;
+  EXPECT_NEAR(info.lambda, exact, 1e-10) << "C_" << a << " box C_" << b;
+  EXPECT_LE(std::fabs(info.lambda - exact), info.lambda_err + 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -61,8 +62,8 @@ TEST(SpectralProducts, HypercubeViaK2PowersAtScale) {
     const graph::Graph g = graph::cartesian_power(graph::complete(2), d);
     rng::Rng rng = rng::make_stream(77, d);
     const auto lz = lanczos_extremes(g, rng);
-    EXPECT_NEAR(lz.mu2, 1.0 - 2.0 / d, 1e-6) << "d=" << d;
-    EXPECT_NEAR(lz.mu_min, -1.0, 1e-6) << "d=" << d;  // bipartite
+    EXPECT_NEAR(lz.mu2, 1.0 - 2.0 / d, 1e-10) << "d=" << d;
+    EXPECT_NEAR(lz.mu_min, -1.0, 1e-10) << "d=" << d;  // bipartite
   }
 }
 
@@ -83,7 +84,7 @@ TEST(SpectralProducts, CompleteTimesCompleteLambda) {
                                                             b - 1)));
     }
   const auto info = compute_lambda(g, 11, /*dense_threshold=*/0);
-  EXPECT_NEAR(info.lambda, exact, 1e-6);
+  EXPECT_NEAR(info.lambda, exact, 1e-10);
 }
 
 TEST(SpectralProducts, GapConditionMarginOnProducts) {

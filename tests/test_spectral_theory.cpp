@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "graph/generators.hpp"
 #include "spectral/dense.hpp"
@@ -58,6 +59,18 @@ TEST(TheoryLambda, TorusSecondEigenvalue) {
               1e-10);
 }
 
+TEST(TheoryLambda, Torus) {
+  // Odd sides: |mu_min| = cos(pi/side) wins up to three dimensions, mu_2
+  // from five on; even sides are bipartite.
+  for (const auto& [side, dim] :
+       {std::pair{5u, 2u}, {7u, 2u}, {5u, 3u}, {3u, 5u}, {4u, 2u}, {6u, 3u}})
+    EXPECT_NEAR(lambda_torus(side, dim),
+                dense_lambda(graph::torus_power(side, dim)), 1e-10)
+        << side << "^" << dim;
+  EXPECT_DOUBLE_EQ(lambda_torus(9, 2), std::cos(M_PI / 9.0));
+  EXPECT_DOUBLE_EQ(lambda_torus(8, 2), 1.0);
+}
+
 TEST(TheoryLambda, Petersen) {
   EXPECT_NEAR(lambda_petersen(), dense_lambda(graph::petersen()), 1e-10);
 }
@@ -69,7 +82,13 @@ TEST(TheoryLambda, FacadeByName) {
   EXPECT_DOUBLE_EQ(*theory_lambda(graph::star(6)), 1.0);
   EXPECT_DOUBLE_EQ(*theory_lambda(graph::complete_bipartite(2, 3)), 1.0);
   EXPECT_DOUBLE_EQ(*theory_lambda(graph::petersen()), 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(*theory_lambda(graph::torus_power(9, 2)),
+                   std::cos(M_PI / 9.0));
+  EXPECT_DOUBLE_EQ(*theory_lambda(graph::torus_power(4, 3)), 1.0);
   EXPECT_FALSE(theory_lambda(graph::barbell(4, 1)).has_value());
+  // Mixed or degenerate sides have no closed form here.
+  EXPECT_FALSE(theory_lambda(graph::grid({5, 7}, true)).has_value());
+  EXPECT_FALSE(theory_lambda(graph::grid({2, 2}, true)).has_value());
 }
 
 TEST(GapCondition, MarginScalesAsStated) {
