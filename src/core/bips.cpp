@@ -7,6 +7,18 @@
 
 namespace cobra::core {
 
+namespace {
+
+/// The sampling kernel's auto-engine rule: a round runs dense when
+/// min(|A_t|, n - |A_t|) · avg_degree <= kDenseEdgeBudget · n — i.e. when
+/// the boundary-marking pass is cheaper than the all-vertex scan — with
+/// the kernel's 2x hysteresis on the way out. Unlike COBRA's density rule
+/// this fires at BOTH extremes (tiny and near-full infected sets), where
+/// determined outcomes dominate.
+constexpr double kDenseEdgeBudget = 1.0;
+
+}  // namespace
+
 double bips_infection_probability(std::uint32_t d, std::uint32_t da,
                                   bool self_infected,
                                   const ProcessOptions& options) {
@@ -34,7 +46,6 @@ FrontierKernel::Config BipsProcess::kernel_config() const {
   // only drives the sampling kernel.
   cfg.engine = options_.kernel == BipsKernel::kProbability ? Engine::kSparse
                                                            : engine_;
-  cfg.dense_density = options_.process.dense_density;
   cfg.laziness = options_.process.laziness;
   cfg.build_sampler = options_.kernel == BipsKernel::kSampling;
   cfg.track_visited = false;  // A_t is not monotone
@@ -54,8 +65,6 @@ BipsProcess::BipsProcess(const graph::Graph& g, graph::VertexId source,
   COBRA_CHECK_MSG(g.num_vertices() >= 1, "empty graph");
   COBRA_CHECK_MSG(g.min_degree() >= 1,
                   "BIPS needs every vertex to have a neighbour to select");
-  COBRA_CHECK_MSG(options_.dense_edge_budget > 0.0,
-                  "dense_edge_budget must be positive");
   source_set_.resize(g.num_vertices());
   da_.assign(g.num_vertices(), 0);
   da_stamp_.assign(g.num_vertices(), 0);
@@ -130,7 +139,7 @@ void BipsProcess::step_sampling(std::uint64_t round_key) {
   const double score =
       min_side_edges <= 0.0
           ? 2.0  // fully infected: the dense round is a pure word pass
-          : options_.dense_edge_budget * static_cast<double>(n) /
+          : kDenseEdgeBudget * static_cast<double>(n) /
                 min_side_edges;
   const bool dense = kernel_.begin_round(score);
   if (dense) {

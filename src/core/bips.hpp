@@ -56,13 +56,6 @@ struct BipsOptions {
   ProcessOptions process;
   /// Which execution kernel runs the rounds.
   BipsKernel kernel = BipsKernel::kSampling;
-  /// Auto-engine rule for the sampling kernel: a round runs dense when
-  /// min(|A_t|, n - |A_t|) · avg_degree <= dense_edge_budget · n — i.e.
-  /// when the boundary-marking pass is cheaper than the all-vertex scan —
-  /// with the kernel's 2x hysteresis on the way out. Unlike COBRA's
-  /// density rule this fires at BOTH extremes (tiny and near-full infected
-  /// sets), where determined outcomes dominate.
-  double dense_edge_budget = 1.0;
 };
 
 /// Simulator for one BIPS trajectory on a fixed graph.

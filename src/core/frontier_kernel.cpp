@@ -89,7 +89,6 @@ std::vector<WordRange> partition_word_ranges(std::size_t words, int lanes) {
 FrontierKernel::FrontierKernel(const graph::Graph& g, const Config& config)
     : graph_(&g),
       engine_(config.engine),
-      dense_density_(config.dense_density),
       track_visited_(config.track_visited),
       threads_(std::clamp(config.kernel_threads, 1, 256)),
       metrics_(config.metrics != nullptr ? config.metrics
@@ -219,8 +218,7 @@ std::uint64_t FrontierKernel::or_count_parallel(std::uint64_t* dst_words,
 
 double FrontierKernel::density_score(std::uint32_t count) const {
   const double threshold =
-      dense_density_ * static_cast<double>(graph_->num_vertices());
-  if (threshold <= 0.0) return 2.0;  // dense_density 0: always dense
+      kDenseDensity * static_cast<double>(graph_->num_vertices());
   return static_cast<double>(count) / threshold;
 }
 

@@ -213,11 +213,10 @@ class FrontierKernel {
   struct Config {
     /// Resolved stepping engine (kReference behaves like kSparse at the
     /// representation level: the kernel never picks a dense round for it).
-    Engine engine = Engine::kAuto;
     /// kAuto switches to the dense frontier when begin_round's score
     /// reaches 1 and back below 0.5 (2x hysteresis); processes compute the
     /// score, typically via density_score().
-    double dense_density = 1.0 / 32.0;
+    Engine engine = Engine::kAuto;
     /// Laziness the sampler is built with (when the kernel builds one).
     double laziness = 0.0;
     /// Build a NeighborSampler when none is shared. Processes that never
@@ -364,8 +363,12 @@ class FrontierKernel {
 
   // --- round transaction -------------------------------------------------
 
+  /// COBRA's auto-switch density: a frontier of kDenseDensity · n
+  /// vertices or more runs dense, and one below half of that sparse again.
+  static constexpr double kDenseDensity = 1.0 / 32.0;
+
   /// The auto-switch score for a frontier of `count` vertices: count /
-  /// (dense_density · n), the rule COBRA uses. Processes with a different
+  /// (kDenseDensity · n), the rule COBRA uses. Processes with a different
   /// cost model (BIPS) pass their own score to begin_round.
   [[nodiscard]] double density_score(std::uint32_t count) const;
 
@@ -827,7 +830,6 @@ class FrontierKernel {
 
   const graph::Graph* graph_;
   Engine engine_;
-  double dense_density_;
   bool track_visited_;
   std::shared_ptr<const NeighborSampler> sampler_;
 

@@ -111,11 +111,6 @@ struct ProcessOptions {
   /// randomness), which tests/test_kernel_parallel.cpp asserts.
   int kernel_threads = 0;
 
-  /// kAuto switches to the dense (bitset) frontier once |C_t| reaches
-  /// `dense_density * n`, and back to the sparse (vector) frontier below
-  /// half that threshold (hysteresis prevents representation thrash).
-  double dense_density = 1.0 / 32.0;
-
   /// Optional pre-built destination sampler, shared across replicates so
   /// the degree-bucketed alias tables are constructed once per graph
   /// rather than once per CobraProcess. Must match the process's graph and
@@ -136,7 +131,6 @@ struct ProcessOptions {
     COBRA_CHECK(branching.base >= 1);
     COBRA_CHECK(branching.extra_prob >= 0.0 && branching.extra_prob <= 1.0);
     COBRA_CHECK(laziness >= 0.0 && laziness < 1.0);
-    COBRA_CHECK(dense_density >= 0.0 && dense_density <= 1.0);
     COBRA_CHECK(kernel_threads >= 0 && kernel_threads <= 256);
   }
 };

@@ -20,10 +20,11 @@
 //
 // or a file reference:
 //
-//   file:PATH         PATH ending in .cgr is mmap-loaded (O(header) open,
-//                     pages shared between processes — see
-//                     graph/binary_io.hpp); any other extension is parsed
-//                     as a text edge list. The label is the name embedded
+//   file:PATH         PATH ending in .cgr is mmap-loaded (the open scans
+//                     offsets and neighbour ids once, pages are shared
+//                     between processes — see graph/binary_io.hpp); any
+//                     other extension is parsed as a text edge list.
+//                     The label is the name embedded
 //                     at ingest, so a pre-baked synthetic family keeps its
 //                     spec string as its label.
 //

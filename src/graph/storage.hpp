@@ -7,10 +7,11 @@
 //   * OwnedCsrStorage  — std::vectors in anonymous memory. What every
 //     generator and GraphBuilder produces; zero-cost for existing callers.
 //   * MappedCsrStorage — a read-only mmap of a `.cgr` file (see
-//     graph/binary_io.hpp). Opening is O(header); pages fault in on first
-//     touch and are shared copy-free between every process that maps the
-//     same file — this is what lets k sweep workers on one host run a
-//     multi-gigabyte graph without k copies.
+//     graph/binary_io.hpp). Opening scans the offsets and neighbour ids
+//     once to check their ranges, copying nothing; the pages are shared
+//     copy-free between every process that maps the same file — this is
+//     what lets k sweep workers on one host run a multi-gigabyte graph
+//     without k copies.
 //
 // Graph holds one shared_ptr<const CsrStorage> and raw spans into it, so
 // the hot accessors (neighbors/degree) cost exactly what the old

@@ -1,10 +1,10 @@
 // The row buffer a cell body writes into.
 //
-// Mirrors sim::Experiment's fluent add() interface, but keeps every cell
-// as (console text, CSV text) pairs in memory instead of streaming to
-// disk: the sweep layer flushes a cell's rows and journals the cell as one
-// atomic unit, which is what makes interrupted shards resumable without
-// duplicated or torn rows.
+// A fluent row()/add() interface like util::Table's, but every value is
+// kept as a (console text, CSV text) pair in memory instead of streaming
+// to disk: the sweep layer flushes a cell's rows and journals the cell as
+// one atomic unit, which is what makes interrupted shards resumable
+// without duplicated or torn rows.
 #pragma once
 
 #include <cstdint>

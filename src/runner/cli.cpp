@@ -103,15 +103,6 @@ int cmd_run(const RunnerOptions& options,
 
 int cmd_sweep(const RunnerOptions& options,
               const std::vector<std::string>& names) {
-  if (options.status) {
-    // Fleet view of an existing run directory; spawns nothing.
-    if (render_fleet_status(options.out_dir, std::cout) == 0) {
-      std::cerr << "cobra: no run journals under " << options.out_dir
-                << '\n';
-      return 2;
-    }
-    return 0;
-  }
   std::string error;
   const auto selected = select_experiments(options, names, error);
   if (selected.empty()) {

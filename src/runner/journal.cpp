@@ -76,15 +76,6 @@ struct Journal::Impl {
   std::ofstream out;
 };
 
-std::string Journal::path_for(const std::string& out_dir,
-                              const std::string& experiment, int shard_index,
-                              int shard_count) {
-  std::ostringstream os;
-  os << out_dir << '/' << experiment << '.' << shard_index << "of"
-     << shard_count << ".journal";
-  return os.str();
-}
-
 Journal::Journal(Journal&& other) noexcept
     : impl_(other.impl_), entries_(std::move(other.entries_)) {
   other.impl_ = nullptr;

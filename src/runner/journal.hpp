@@ -72,11 +72,6 @@ struct JournalEntry {
 /// Append-only checkpoint manifest of one shard's run.
 class Journal {
  public:
-  /// Journal path for shard index/count of `experiment` under `out_dir`.
-  static std::string path_for(const std::string& out_dir,
-                              const std::string& experiment, int shard_index,
-                              int shard_count);
-
   /// Starts a fresh journal at `path` (truncating any previous one) and
   /// writes the header.
   static Journal create(const std::string& path,

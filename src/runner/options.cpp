@@ -118,8 +118,6 @@ std::optional<std::string> parse_args(const std::vector<std::string>& args,
       if (!value || !parse_double(*value, parsed) || parsed < 0.0)
         return "--watch expects a non-negative number of seconds";
       options.watch = parsed;
-    } else if (name == "--status") {
-      options.status = true;
     } else if (name == "-o" || name == "--out") {
       const auto value = take_value();
       if (!value || value->empty()) return "--out expects a file path";
@@ -183,8 +181,7 @@ std::optional<std::string> parse_args(const std::vector<std::string>& args,
       return "unknown flag: " + name + " (see --help)";
     }
     if (inline_value &&
-        (name == "--list" || name == "--resume" || name == "--verify" ||
-         name == "--status"))
+        (name == "--list" || name == "--resume" || name == "--verify"))
       return name + " does not take a value";
   }
   return std::nullopt;
@@ -224,7 +221,6 @@ Usage:
   cobra report [DIR]                   render archived metrics sidecars
                                        (<exp>.metrics.jsonl) as per-cell
                                        comparison tables, no re-running
-  cobra sweep --status [--out-dir DIR] one-shot fleet view (same as top)
   cobra graph ingest EDGELIST -o G.cgr [--name N]
                                        convert a text edge list to the
                                        binary .cgr format (streaming; full
@@ -290,8 +286,8 @@ With --metrics summary|rounds every completed cell appends one JSON line
 to the shard's <exp>[.<i>of<k>].metrics.jsonl sidecar; merge and completed
 unsharded runs compact/re-order the sidecars deterministically. A running
 sweep additionally maintains <exp>.sweep.status (atomic rewrite, ~1/s)
-which `cobra top` and `cobra sweep --status` combine with the journals
-and the archived .costs model into a live fleet view with ETA.
+which `cobra top` combines with the journals and the archived .costs
+model into a live fleet view with ETA.
 
 Sharded sweeps write <table>.shard<i>of<k>.csv fragments plus a
 <experiment>.<i>of<k>.journal manifest into --out-dir; `cobra merge`

@@ -71,9 +71,6 @@ struct RunnerOptions {
 
   /// --watch: `cobra top` refresh interval in seconds (0 = render once).
   double watch = 0.0;
-  /// --status: `cobra sweep` — render the fleet status of an existing
-  /// out-dir (journals + supervisor status file) instead of sweeping.
-  bool status = false;
 
   /// Stop after this many cells (chunked runs, interruption tests);
   /// negative means unlimited.

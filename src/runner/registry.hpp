@@ -102,7 +102,7 @@ std::vector<std::size_t> shard_slice(std::size_t num_cells, int index,
                                      int count);
 
 /// Cost-balanced variant of shard_slice: given one non-negative cost per
-/// cell (journal-v3 wall times, microseconds), assigns cells to shards by
+/// cell (journal-v4 wall times, microseconds), assigns cells to shards by
 /// deterministic longest-processing-time greedy — cells in decreasing
 /// cost order (ties: lower enumeration index first) each go to the
 /// currently lightest shard (ties: lowest shard) — and returns shard

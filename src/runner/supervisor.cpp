@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -22,6 +21,7 @@
 #include "graph/binary_io.hpp"
 #include "graph/spec.hpp"
 #include "runner/journal.hpp"
+#include "runner/layout.hpp"
 #include "runner/telemetry.hpp"
 #include "util/annotations.hpp"
 #include "util/assert.hpp"
@@ -181,27 +181,13 @@ pid_t spawn_worker(const std::vector<std::string>& argv_head,
 void check_no_conflicting_journals(const std::string& out_dir,
                                    const std::string& experiment,
                                    int workers) {
-  if (!fs::exists(out_dir)) return;
-  const std::string prefix = experiment + ".";
+  const auto runs = layout::list(out_dir, layout::FileKind::kJournal);
+  const auto run = runs.find(experiment);
+  if (run == runs.end()) return;
   std::vector<std::string> conflicts;
-  for (const auto& entry : fs::directory_iterator(out_dir)) {
-    const std::string file = entry.path().filename().string();
-    if (file.rfind(prefix, 0) != 0) continue;
-    if (entry.path().extension() != ".journal") continue;
-    // <experiment>.<i>of<k>.journal
-    const std::string spec = file.substr(
-        prefix.size(), file.size() - prefix.size() - 8 /* ".journal" */);
-    const auto of = spec.find("of");
-    if (of == std::string::npos) continue;
-    int count = 0;
-    const std::string count_text = spec.substr(of + 2);
-    const auto [ptr, ec] = std::from_chars(
-        count_text.data(), count_text.data() + count_text.size(), count);
-    if (ec != std::errc() ||
-        ptr != count_text.data() + count_text.size()) {
-      continue;
-    }
-    if (count != workers) conflicts.push_back(file);
+  for (const layout::ShardFile& journal : run->second) {
+    if (journal.shard_count != workers)
+      conflicts.push_back(fs::path(journal.path).filename().string());
   }
   if (conflicts.empty()) return;
   std::sort(conflicts.begin(), conflicts.end());
@@ -258,7 +244,7 @@ std::vector<ShardBoard::Entry> entries_from(const std::vector<Shard>& shards) {
   return entries;
 }
 
-/// Builds the fleet snapshot for `cobra top` / `cobra sweep --status`.
+/// Builds the fleet snapshot for `cobra top`.
 /// `done` carries the last known journaled-cell count per shard across
 /// calls: a worker may be mid-append, and a transiently unreadable
 /// journal keeps the previous count rather than failing the sweep.
@@ -445,12 +431,8 @@ SupervisorResult supervise_experiment(const ExperimentDef& def,
     shard.index = i;
     const auto& slice = partition[static_cast<std::size_t>(i - 1)];
     shard.cells = slice.size();
-    shard.journal_path =
-        Journal::path_for(config.out_dir, def.name, i, k);
-    std::ostringstream os;
-    os << config.out_dir << '/' << def.name << '.' << i << "of" << k
-       << ".worker.log";
-    shard.log_path = os.str();
+    shard.journal_path = layout::journal(config.out_dir, def.name, i, k);
+    shard.log_path = layout::worker_log(config.out_dir, def.name, i, k);
     shard.timeout_s = config.heartbeat_timeout_s;
     if (shard.timeout_s > 0 && !costs_us.empty()) {
       std::uint64_t heaviest_us = 0;
@@ -472,12 +454,12 @@ SupervisorResult supervise_experiment(const ExperimentDef& def,
   Reaper reaper{&shards};
   bool inject_pending = config.inject_kill_shard > 0;
 
-  // Fleet snapshot for `cobra top` / `cobra sweep --status`: rewritten
-  // atomically at most once a second (plus once at start and at the end),
-  // so an observer process always reads a consistent view. The periodic
-  // writes run on a dedicated status thread reading the shard board.
+  // Fleet snapshot for `cobra top`: rewritten atomically at most once a
+  // second (plus once at start and at the end), so an observer process
+  // always reads a consistent view. The periodic writes run on a
+  // dedicated status thread reading the shard board.
   const std::string status_path =
-      sweep_status_path(config.out_dir, def.name);
+      layout::sweep_status(config.out_dir, def.name);
   std::vector<ShardFacts> facts;
   facts.reserve(shards.size());
   for (const Shard& shard : shards)

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <iostream>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -15,12 +18,14 @@
 #include "core/metrics.hpp"
 #include "core/process.hpp"
 #include "runner/journal.hpp"
+#include "runner/layout.hpp"
 #include "runner/telemetry.hpp"
-#include "sim/experiment.hpp"
+#include "sim/monte_carlo.hpp"
 #include "util/assert.hpp"
 #include "util/csv.hpp"
 #include "util/env.hpp"
 #include "util/metrics.hpp"
+#include "util/table.hpp"
 
 namespace cobra::runner {
 
@@ -60,45 +65,102 @@ void check_journal_prefix(const ExperimentDef& def,
 }
 
 /// Rows grouped by the cell that produced them, one vector per table:
-/// the unit both renderers and the merge work with.
+/// the unit the console renders.
 struct CellRows {
   std::string group;
   std::vector<std::string> notes;
   std::vector<std::vector<CellRow>> tables;  // [table][row]
 };
 
-/// Prints the classic per-experiment console output (banner, aligned
-/// table, rules between groups, notes under the last table).
+/// Prints the classic per-experiment console output: per table a banner
+/// that pins every knob affecting the bytes, the aligned table with rules
+/// between cell groups, and the notes under the last table.
 void render_console(const ExperimentDef& def,
                     const std::vector<CellRows>& cells,
                     const std::vector<std::string>& extra_notes) {
   for (std::size_t t = 0; t < def.tables.size(); ++t) {
     const TableDef& table = def.tables[t];
-    sim::Experiment exp(table.id, table.title, table.columns,
-                        sim::ExperimentOutput{.csv_path = {},
-                                              .write_csv = false,
-                                              .append = false,
-                                              .console = true});
+    util::Table console(table.columns);
     std::string last_group;
     bool first = true;
     for (const CellRows& cell : cells) {
       if (cell.tables[t].empty()) continue;
-      if (!first && cell.group != last_group) exp.rule();
+      if (!first && cell.group != last_group) console.rule();
       first = false;
       last_group = cell.group;
       for (const CellRow& row : cell.tables[t]) {
-        exp.row();
-        for (const CellValue& value : row)
-          exp.add_formatted(value.console_text, value.csv_text);
+        console.row();
+        for (const CellValue& value : row) console.add(value.console_text);
       }
     }
+    std::cout << "\n=== " << table.id << " ===\n"
+              << table.title << "\n"
+              << "seed=" << util::global_seed() << " scale=" << util::scale()
+              << " workers=" << sim::worker_count()
+              << " engine=" << util::engine() << "\n\n";
+    console.print(std::cout);
     if (t + 1 == def.tables.size()) {
       for (const CellRows& cell : cells)
-        for (const std::string& n : cell.notes) exp.note(n);
-      for (const std::string& n : extra_notes) exp.note(n);
+        for (const std::string& n : cell.notes)
+          std::cout << "  * " << n << '\n';
+      for (const std::string& n : extra_notes)
+        std::cout << "  * " << n << '\n';
     }
-    exp.finish();
   }
+}
+
+/// Cuts the data rows of table `t`'s CSV at `path` into one chunk per
+/// journal entry — chunk j holds the rows_per_table[t] rows entry j's
+/// cell contributed — and checks that the entries account for every row.
+/// The merge reorders shard fragments by these chunks; a resumed run's
+/// console replays the canonical CSV through them.
+std::vector<std::vector<std::vector<std::string>>> chunk_rows(
+    const std::string& path, const TableDef& table, std::size_t t,
+    const std::vector<JournalEntry>& entries) {
+  util::CsvTable csv = util::read_csv(path);
+  COBRA_CHECK_MSG(csv.header == table.columns, path << ": header mismatch");
+  std::vector<std::vector<std::vector<std::string>>> chunks;
+  chunks.reserve(entries.size());
+  std::size_t cursor = 0;
+  for (const JournalEntry& entry : entries) {
+    COBRA_CHECK_MSG(t < entry.rows_per_table.size(),
+                    path << ": journal entry '" << entry.cell_id
+                         << "' lacks a row count for table " << t);
+    const std::size_t rows = entry.rows_per_table[t];
+    COBRA_CHECK_MSG(cursor + rows <= csv.num_rows(),
+                    path << " holds fewer rows than its journal records");
+    const auto begin = csv.rows.begin() + static_cast<std::ptrdiff_t>(cursor);
+    chunks.emplace_back(
+        std::make_move_iterator(begin),
+        std::make_move_iterator(begin + static_cast<std::ptrdiff_t>(rows)));
+    cursor += rows;
+  }
+  COBRA_CHECK_MSG(cursor == csv.num_rows(),
+                  path << " holds rows no journal entry accounts for");
+  return chunks;
+}
+
+/// The end of every complete run, unsharded or merged: archives the cost
+/// model and the canonical metrics sidecar, both in cell-enumeration
+/// order. `entries` holds every cell's journal entry in that order (for
+/// shard 1/1 journal order already is enumeration order); `records` the
+/// sidecar records of every shard in any order — crash duplicates
+/// collapse, last record wins. Returns the sidecar records written (0:
+/// metrics were off, no sidecar).
+std::size_t finalise_archive(const std::string& out_dir,
+                             const std::string& experiment,
+                             const std::vector<JournalEntry>& entries,
+                             std::vector<CellMetricsRecord> records) {
+  // Per-cell wall times: a later `--costs` run balances its shard slices
+  // with them.
+  write_costs_file(layout::costs(out_dir, experiment), entries);
+  if (records.empty()) return 0;
+  std::vector<std::string> order;
+  order.reserve(entries.size());
+  for (const JournalEntry& entry : entries) order.push_back(entry.cell_id);
+  records = order_records(std::move(records), order);
+  write_metrics_sidecar(layout::sidecar(out_dir, experiment, 1, 1), records);
+  return records.size();
 }
 
 /// Runs def.summarize over the canonical CSVs (all cells present) and
@@ -110,7 +172,8 @@ std::vector<std::string> collect_summary_notes(const ExperimentDef& def,
     std::vector<util::CsvTable> tables;
     tables.reserve(def.tables.size());
     for (const TableDef& table : def.tables)
-      tables.push_back(util::read_csv(out_dir + "/" + table.id + ".csv"));
+      tables.push_back(
+          util::read_csv(layout::fragment(out_dir, table.id, 1, 1)));
     notes = def.summarize(tables);
   }
   notes.insert(notes.end(), def.notes.begin(), def.notes.end());
@@ -167,20 +230,6 @@ std::string format_wall_time(std::uint64_t wall_us) {
     with_unit(static_cast<double>(wall_us) / 60e6, "min");
   }
   return os.str();
-}
-
-std::string fragment_path(const std::string& out_dir, const TableDef& table,
-                          int shard_index, int shard_count) {
-  if (shard_count == 1) return out_dir + "/" + table.id + ".csv";
-  std::ostringstream os;
-  os << out_dir << '/' << table.id << ".shard" << shard_index << "of"
-     << shard_count << ".csv";
-  return os.str();
-}
-
-std::string costs_path_for(const std::string& out_dir,
-                           const std::string& experiment) {
-  return out_dir + "/" + experiment + ".costs";
 }
 
 void write_costs_file(const std::string& path,
@@ -293,7 +342,7 @@ SweepResult run_experiment(const ExperimentDef& def,
                              config.shard_count, util::global_seed(),
                              util::scale(), engine,
                              util::kernel_threads()};
-  const std::string journal_path = Journal::path_for(
+  const std::string journal_path = layout::journal(
       config.out_dir, def.name, config.shard_index, config.shard_count);
 
   std::size_t skip = 0;
@@ -317,8 +366,8 @@ SweepResult run_experiment(const ExperimentDef& def,
     // cell's flush and its journal line) is cut off so the resumed run
     // re-executes that cell exactly once.
     for (std::size_t t = 0; t < def.tables.size(); ++t) {
-      const std::string path = fragment_path(
-          config.out_dir, def.tables[t], config.shard_index,
+      const std::string path = layout::fragment(
+          config.out_dir, def.tables[t].id, config.shard_index,
           config.shard_count);
       const std::size_t expected = journal->journaled_rows(t);
       if (std::filesystem::exists(path)) {
@@ -340,7 +389,7 @@ SweepResult run_experiment(const ExperimentDef& def,
   // duplicate; readers keep the last record per cell). A fresh run clears
   // any stale sidecar; metrics-off runs write nothing.
   const util::MetricsMode metrics_mode = util::metrics_mode();
-  const std::string sidecar_path = metrics_sidecar_path(
+  const std::string sidecar_path = layout::sidecar(
       config.out_dir, def.name, config.shard_index, config.shard_count);
   if (fresh) {
     std::error_code ec;
@@ -355,8 +404,8 @@ SweepResult run_experiment(const ExperimentDef& def,
   std::vector<std::unique_ptr<util::CsvWriter>> writers;
   for (const TableDef& table : def.tables) {
     writers.push_back(std::make_unique<util::CsvWriter>(
-        fragment_path(config.out_dir, table, config.shard_index,
-                      config.shard_count),
+        layout::fragment(config.out_dir, table.id, config.shard_index,
+                         config.shard_count),
         table.columns,
         fresh ? util::CsvWriter::Mode::kTruncate
               : util::CsvWriter::Mode::kAppend));
@@ -443,22 +492,8 @@ SweepResult run_experiment(const ExperimentDef& def,
   for (auto& writer : writers) writer->close();
 
   if (result.complete() && config.shard_count == 1) {
-    // Archive the cost model: the journal holds every cell's wall time,
-    // and a later `--costs` run balances its shard slices with it.
-    write_costs_file(costs_path_for(config.out_dir, def.name),
-                     journal->entries());
-    // Compact the sidecar into journal order: crash-duplicate records
-    // collapse (last wins) and the archive becomes deterministic — the
-    // same lines a sharded run's merged sidecar would hold.
-    if (std::filesystem::exists(sidecar_path)) {
-      std::vector<std::string> order;
-      order.reserve(journal->entries().size());
-      for (const JournalEntry& entry : journal->entries())
-        order.push_back(entry.cell_id);
-      write_metrics_sidecar(
-          sidecar_path,
-          order_records(read_metrics_sidecar(sidecar_path), order));
-    }
+    finalise_archive(config.out_dir, def.name, journal->entries(),
+                     read_metrics_sidecar(sidecar_path));
   }
 
   if (result.complete() && config.shard_count == 1 && config.console) {
@@ -472,33 +507,23 @@ SweepResult run_experiment(const ExperimentDef& def,
       // many rows its cell contributed per table. Cell notes are not
       // journaled, so warn rather than silently diverging from an
       // uninterrupted run's output.
-      std::vector<util::CsvTable> archives;
-      for (std::size_t t = 0; t < def.tables.size(); ++t) {
-        archives.push_back(util::read_csv(config.out_dir + "/" +
-                                          def.tables[t].id + ".csv"));
-        COBRA_CHECK_MSG(archives.back().num_rows() ==
-                            journal->journaled_rows(t),
-                        def.tables[t].id
-                            << ".csv row count disagrees with the journal");
+      const std::vector<JournalEntry>& entries = journal->entries();
+      std::vector<CellRows> replay(entries.size());
+      for (std::size_t j = 0; j < entries.size(); ++j) {
+        replay[j].group = cells[slice[j]].group;
+        replay[j].tables.resize(def.tables.size());
       }
-      std::vector<std::size_t> cursor(def.tables.size(), 0);
-      std::vector<CellRows> replay;
-      for (std::size_t j = 0; j < journal->entries().size(); ++j) {
-        const JournalEntry& entry = journal->entries()[j];
-        CellRows cell;
-        cell.group = cells[slice[j]].group;
-        cell.tables.resize(def.tables.size());
-        for (std::size_t t = 0; t < def.tables.size(); ++t) {
-          for (std::size_t r = 0; r < entry.rows_per_table[t]; ++r) {
-            CellRow row;
-            for (const std::string& text :
-                 archives[t].rows[cursor[t] + r])
-              row.push_back(CellValue{text, text});
-            cell.tables[t].push_back(std::move(row));
+      for (std::size_t t = 0; t < def.tables.size(); ++t) {
+        const auto chunks = chunk_rows(
+            layout::fragment(config.out_dir, def.tables[t].id, 1, 1),
+            def.tables[t], t, entries);
+        for (std::size_t j = 0; j < chunks.size(); ++j) {
+          for (const std::vector<std::string>& row : chunks[j]) {
+            CellRow& replayed = replay[j].tables[t].emplace_back();
+            for (const std::string& text : row)
+              replayed.push_back(CellValue{text, text});
           }
-          cursor[t] += entry.rows_per_table[t];
         }
-        replay.push_back(std::move(cell));
       }
       std::vector<std::string> notes = summary;
       if (result.cells_skipped > 0) {
@@ -522,45 +547,27 @@ SweepResult run_experiment(const ExperimentDef& def,
 
 MergeResult merge_experiment(const ExperimentDef& def,
                              const std::string& out_dir, std::ostream* log) {
-  namespace fs = std::filesystem;
-
-  // Discover this experiment's shard journals.
-  int shard_count = 0;
+  COBRA_CHECK_MSG(std::filesystem::exists(out_dir),
+                  "no such run directory: " << out_dir);
+  const auto runs = layout::list(out_dir, layout::FileKind::kJournal);
+  const auto run = runs.find(def.name);
+  COBRA_CHECK_MSG(run != runs.end(),
+                  "no journals for " << def.name << " under " << out_dir);
+  // Sorted by shard count, then index: one count throughout, and shard s
+  // at position s-1, or the directory does not hold one run.
+  const std::vector<layout::ShardFile>& journals = run->second;
+  const int shard_count = journals.front().shard_count;
+  COBRA_CHECK_MSG(journals.back().shard_count == shard_count,
+                  out_dir << " mixes journals of different shard counts for "
+                          << def.name);
   std::vector<std::string> journal_paths;
-  {
-    std::vector<std::pair<int, std::string>> found;  // (index, path)
-    const std::string prefix = def.name + ".";
-    COBRA_CHECK_MSG(fs::exists(out_dir),
-                    "no such run directory: " << out_dir);
-    for (const auto& entry : fs::directory_iterator(out_dir)) {
-      const std::string file = entry.path().filename().string();
-      if (file.rfind(prefix, 0) != 0) continue;
-      if (entry.path().extension() != ".journal") continue;
-      // <name>.<i>of<k>.journal
-      const std::string spec = file.substr(
-          prefix.size(), file.size() - prefix.size() - 8 /* ".journal" */);
-      const auto of = spec.find("of");
-      if (of == std::string::npos) continue;
-      const int index = std::atoi(spec.substr(0, of).c_str());
-      const int count = std::atoi(spec.substr(of + 2).c_str());
-      if (index < 1 || count < 1) continue;
-      COBRA_CHECK_MSG(shard_count == 0 || shard_count == count,
-                      out_dir << " mixes journals of different shard "
-                              << "counts for " << def.name);
-      shard_count = count;
-      found.emplace_back(index, entry.path().string());
-    }
-    COBRA_CHECK_MSG(!found.empty(),
-                    "no journals for " << def.name << " under " << out_dir);
-    std::sort(found.begin(), found.end());
-    for (int i = 1; i <= shard_count; ++i) {
-      COBRA_CHECK_MSG(static_cast<std::size_t>(i) <= found.size() &&
-                          found[static_cast<std::size_t>(i) - 1].first == i,
-                      "shard " << i << "/" << shard_count << " of "
-                               << def.name << " has no journal in "
-                               << out_dir);
-      journal_paths.push_back(found[static_cast<std::size_t>(i) - 1].second);
-    }
+  for (int i = 1; i <= shard_count; ++i) {
+    COBRA_CHECK_MSG(static_cast<std::size_t>(i) <= journals.size() &&
+                        journals[static_cast<std::size_t>(i) - 1]
+                                .shard_index == i,
+                    "shard " << i << "/" << shard_count << " of " << def.name
+                             << " has no journal in " << out_dir);
+    journal_paths.push_back(journals[static_cast<std::size_t>(i) - 1].path);
   }
 
   // All shards must come from one run configuration; adopt it (seed and
@@ -650,43 +657,22 @@ MergeResult merge_experiment(const ExperimentDef& def,
 
   for (std::size_t t = 0; t < def.tables.size(); ++t) {
     const TableDef& table = def.tables[t];
-
-    // Load fragments and cut them into per-cell chunks via the journals.
-    // chunk[cell index in global enumeration] = that cell's rows.
+    // chunks[global cell index] = that cell's rows, cut out of its shard's
+    // fragment via the shard's journal.
     std::vector<std::vector<std::vector<std::string>>> chunks(cells.size());
     for (int s = 1; s <= shard_count; ++s) {
-      const util::CsvTable fragment = util::read_csv(
-          fragment_path(out_dir, table, s, shard_count));
-      COBRA_CHECK_MSG(fragment.header == table.columns,
-                      table.id << " shard " << s
-                               << ": fragment header mismatch");
-      const auto& entries = shard_entries[static_cast<std::size_t>(s) - 1];
+      auto shard_chunks = chunk_rows(
+          layout::fragment(out_dir, table.id, s, shard_count), table, t,
+          shard_entries[static_cast<std::size_t>(s) - 1]);
       const auto& mapped = entry_cells[static_cast<std::size_t>(s) - 1];
-      std::size_t cursor = 0;
-      for (std::size_t j = 0; j < entries.size(); ++j) {
-        COBRA_CHECK_MSG(t < entries[j].rows_per_table.size(),
-                        def.name << " shard " << s << ": journal entry '"
-                                 << entries[j].cell_id
-                                 << "' lacks a count for table " << t);
-        const std::size_t rows = entries[j].rows_per_table[t];
-        COBRA_CHECK_MSG(cursor + rows <= fragment.num_rows(),
-                        table.id << " shard " << s
-                                 << ": fragment shorter than its journal");
-        auto& chunk = chunks[mapped[j]];
-        for (std::size_t r = 0; r < rows; ++r)
-          chunk.push_back(fragment.rows[cursor + r]);
-        cursor += rows;
-      }
-      COBRA_CHECK_MSG(cursor == fragment.num_rows(),
-                      table.id << " shard " << s
-                               << ": fragment has rows no journal entry "
-                               << "accounts for");
+      for (std::size_t j = 0; j < shard_chunks.size(); ++j)
+        chunks[mapped[j]] = std::move(shard_chunks[j]);
     }
 
     // Emit in global enumeration order: byte-identical to an unsharded
     // run at the same seed/scale.
-    util::CsvWriter writer(out_dir + "/" + table.id + ".csv",
-                           table.columns);
+    const std::string canonical = layout::fragment(out_dir, table.id, 1, 1);
+    util::CsvWriter writer(canonical, table.columns);
     std::size_t rows = 0;
     for (const auto& chunk : chunks) {
       for (const auto& row : chunk) {
@@ -697,56 +683,46 @@ MergeResult merge_experiment(const ExperimentDef& def,
     writer.close();
     result.rows_per_table.push_back(rows);
     if (log) {
-      *log << "merged " << table.id << ".csv: " << rows << " rows from "
+      *log << "merged "
+           << std::filesystem::path(canonical).filename().string() << ": "
+           << rows << " rows from "
            << shard_count << " shards\n";
     }
   }
 
-  // Archive the cost model in enumeration order: per-cell wall times for
-  // weighted re-sharding (`--costs`) of the next run at this scale.
+  // The cost model and the metrics sidecars finalise exactly like a
+  // complete unsharded run's, from every shard's entries in enumeration
+  // order and every shard's sidecar records (shards that ran with
+  // metrics off contribute none).
   {
     std::vector<const JournalEntry*> by_cell(cells.size(), nullptr);
+    std::vector<CellMetricsRecord> records;
     for (int s = 1; s <= shard_count; ++s) {
       const auto& entries = shard_entries[static_cast<std::size_t>(s) - 1];
       const auto& mapped = entry_cells[static_cast<std::size_t>(s) - 1];
       for (std::size_t j = 0; j < entries.size(); ++j)
         by_cell[mapped[j]] = &entries[j];
+      std::vector<CellMetricsRecord> shard_records = read_metrics_sidecar(
+          layout::sidecar(out_dir, def.name, s, shard_count));
+      for (CellMetricsRecord& record : shard_records)
+        records.push_back(std::move(record));
     }
     std::vector<JournalEntry> ordered;
     ordered.reserve(by_cell.size());
     for (const JournalEntry* entry : by_cell) ordered.push_back(*entry);
-    write_costs_file(costs_path_for(out_dir, def.name), ordered);
-  }
-
-  // Merge the metrics sidecars the same way the fragments merged: every
-  // shard's records concatenated, deduplicated (last record per cell) and
-  // re-ordered by the global cell enumeration into the canonical
-  // <experiment>.metrics.jsonl. Shards that ran with metrics off simply
-  // contribute nothing.
-  {
-    std::vector<CellMetricsRecord> records;
-    for (int s = 1; s <= shard_count; ++s) {
-      std::vector<CellMetricsRecord> shard_records = read_metrics_sidecar(
-          metrics_sidecar_path(out_dir, def.name, s, shard_count));
-      for (CellMetricsRecord& record : shard_records)
-        records.push_back(std::move(record));
-    }
-    if (!records.empty()) {
-      std::vector<std::string> order;
-      order.reserve(cells.size());
-      for (const CellDef& cell : cells) order.push_back(cell.id);
-      records = order_records(std::move(records), order);
-      write_metrics_sidecar(
-          metrics_sidecar_path(out_dir, def.name, 1, 1), records);
-      if (log) {
-        *log << "merged " << def.name << ".metrics.jsonl: "
-             << records.size() << " cell records from " << shard_count
-             << " shards\n";
-      }
+    const std::size_t merged_records =
+        finalise_archive(out_dir, def.name, ordered, std::move(records));
+    if (log && merged_records > 0) {
+      *log << "merged "
+           << std::filesystem::path(layout::sidecar(out_dir, def.name, 1, 1))
+                  .filename()
+                  .string()
+           << ": " << merged_records << " cell records from " << shard_count
+           << " shards\n";
     }
   }
 
-  // Journal v3 cost summary: where the run's wall time went (the input
+  // Journal v4 cost summary: where the run's wall time went (the input
   // to cost-model shard balancing, see ROADMAP). Totals and the top-3
   // slowest cells are returned so `cobra sweep` can surface them in its
   // completion output.

@@ -71,23 +71,15 @@ struct MergeResult {
 /// they form one complete run (consistent k, shards 1..k, matching
 /// seed/scale, every slice fully journaled), and stitches the fragments
 /// into canonical <table>.csv files in cell-enumeration order — so the
-/// merged archive is byte-identical to an unsharded run. Prints the
-/// experiment's summary notes to `log`.
+/// merged archive is byte-identical to an unsharded run — then archives
+/// the cost model and metrics sidecar exactly as a complete unsharded run
+/// does. Prints the experiment's summary notes to `log`.
 MergeResult merge_experiment(const ExperimentDef& def,
                              const std::string& out_dir, std::ostream* log);
 
-/// The fragment CSV path for one table of one shard; shard 1/1 is the
-/// canonical <out_dir>/<table id>.csv itself.
-std::string fragment_path(const std::string& out_dir, const TableDef& table,
-                          int shard_index, int shard_count);
-
-/// Where a run archives its per-cell cost model:
-/// `<out_dir>/<experiment>.costs`. Written by a completed unsharded run
-/// and by merge_experiment(); consumed by slice_for() via --costs.
-std::string costs_path_for(const std::string& out_dir,
-                           const std::string& experiment);
-
-/// Writes a cost-model file: a `cobra-costs\tv1` header followed by one
+/// Writes a cost-model file (layout::costs() names it; a completed
+/// unsharded run and merge_experiment() write it, slice_for() reads it
+/// back via --costs): a `cobra-costs\tv1` header followed by one
 /// `cell\t<cell id>\t<wall µs>` line per journaled cell.
 void write_costs_file(const std::string& path,
                       const std::vector<JournalEntry>& entries);

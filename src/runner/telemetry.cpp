@@ -10,6 +10,7 @@
 #include <unordered_set>
 
 #include "runner/journal.hpp"
+#include "runner/layout.hpp"
 #include "runner/sweep.hpp"
 #include "util/assert.hpp"
 
@@ -59,38 +60,7 @@ void write_atomically(const std::string& path, const std::string& content) {
                                    << ec.message());
 }
 
-/// `<experiment>.<i>of<k>` shard spec parsed off a journal/sidecar file
-/// name; false when `stem` does not match the pattern.
-bool parse_shard_stem(const std::string& stem, std::string& experiment,
-                      int& index, int& count) {
-  const auto dot = stem.rfind('.');
-  if (dot == std::string::npos || dot == 0) return false;
-  const std::string spec = stem.substr(dot + 1);
-  const auto of = spec.find("of");
-  if (of == std::string::npos || of == 0) return false;
-  char* end = nullptr;
-  const std::string left = spec.substr(0, of);
-  const std::string right = spec.substr(of + 2);
-  index = static_cast<int>(std::strtol(left.c_str(), &end, 10));
-  if (end != left.c_str() + left.size()) return false;
-  count = static_cast<int>(std::strtol(right.c_str(), &end, 10));
-  if (end != right.c_str() + right.size()) return false;
-  if (index < 1 || count < 1 || index > count) return false;
-  experiment = stem.substr(0, dot);
-  return true;
-}
-
 }  // namespace
-
-std::string metrics_sidecar_path(const std::string& out_dir,
-                                 const std::string& experiment,
-                                 int shard_index, int shard_count) {
-  if (shard_count == 1) return out_dir + "/" + experiment + ".metrics.jsonl";
-  std::ostringstream os;
-  os << out_dir << '/' << experiment << '.' << shard_index << "of"
-     << shard_count << ".metrics.jsonl";
-  return os.str();
-}
 
 std::string record_to_jsonl(const CellMetricsRecord& record) {
   std::ostringstream os;
@@ -230,11 +200,6 @@ std::vector<CellMetricsRecord> order_records(
   return kept;
 }
 
-std::string sweep_status_path(const std::string& out_dir,
-                              const std::string& experiment) {
-  return out_dir + "/" + experiment + ".sweep.status";
-}
-
 void write_sweep_status(const std::string& path,
                         const SweepStatus& status) {
   std::ostringstream os;
@@ -309,45 +274,16 @@ std::string last_journal_cell(const std::string& journal_path) {
   return last;
 }
 
-namespace {
-
-/// One discovered run: every shard journal of one experiment.
-struct RunFiles {
-  int shard_count = 0;
-  std::vector<std::pair<int, std::string>> journals;  // (index, path)
-};
-
-/// Journals under `out_dir`, grouped by experiment name.
-std::map<std::string, RunFiles> discover_runs(const std::string& out_dir) {
-  std::map<std::string, RunFiles> runs;
-  if (!fs::exists(out_dir)) return runs;
-  for (const auto& entry : fs::directory_iterator(out_dir)) {
-    if (entry.path().extension() != ".journal") continue;
-    std::string experiment;
-    int index = 0, count = 0;
-    if (!parse_shard_stem(entry.path().stem().string(), experiment, index,
-                          count))
-      continue;
-    RunFiles& run = runs[experiment];
+std::size_t render_fleet_status(const std::string& out_dir,
+                                std::ostream& out) {
+  const auto runs = layout::list(out_dir, layout::FileKind::kJournal);
+  for (const auto& [experiment, journals] : runs) {
+    const std::optional<SweepStatus> status =
+        read_sweep_status(layout::sweep_status(out_dir, experiment));
     // Mixed shard counts (a stale 1of1 beside a sweep) render the larger
     // fleet; the merge rejects such directories loudly, the viewer just
     // shows what is there.
-    if (count > run.shard_count) run.shard_count = count;
-    run.journals.emplace_back(index, entry.path().string());
-  }
-  for (auto& [experiment, run] : runs)
-    std::sort(run.journals.begin(), run.journals.end());
-  return runs;
-}
-
-}  // namespace
-
-std::size_t render_fleet_status(const std::string& out_dir,
-                                std::ostream& out) {
-  const std::map<std::string, RunFiles> runs = discover_runs(out_dir);
-  for (const auto& [experiment, run] : runs) {
-    const std::optional<SweepStatus> status =
-        read_sweep_status(sweep_status_path(out_dir, experiment));
+    const int shard_count = journals.back().shard_count;
 
     // Completed cells and their costs, per shard and in total.
     std::unordered_set<std::string> completed;
@@ -359,12 +295,12 @@ std::size_t render_fleet_status(const std::string& out_dir,
       std::string last_cell;
     };
     std::vector<ShardView> shards;
-    for (const auto& [index, path] : run.journals) {
-      const auto [header, entries] = Journal::read(path);
+    for (const layout::ShardFile& journal : journals) {
+      const auto [header, entries] = Journal::read(journal.path);
       ShardView view;
-      view.index = index;
+      view.index = journal.shard_index;
       view.done = entries.size();
-      view.last_cell = last_journal_cell(path);
+      view.last_cell = last_journal_cell(journal.path);
       done_total += entries.size();
       for (const JournalEntry& entry : entries) {
         completed.insert(entry.cell_id);
@@ -379,7 +315,7 @@ std::size_t render_fleet_status(const std::string& out_dir,
     std::uint64_t remaining_us = 0;
     bool have_model = false;
     std::size_t cells_known = 0;
-    const std::string costs = costs_path_for(out_dir, experiment);
+    const std::string costs = layout::costs(out_dir, experiment);
     if (fs::exists(costs)) {
       have_model = true;
       for (const auto& [cell, wall_us] : read_costs_file(costs)) {
@@ -419,8 +355,8 @@ std::size_t render_fleet_status(const std::string& out_dir,
     } else {
       out << " cells done";
     }
-    out << ", " << run.journals.size() << " shard"
-        << (run.journals.size() == 1 ? "" : "s")
+    out << ", " << journals.size() << " shard"
+        << (journals.size() == 1 ? "" : "s")
         << ", spent " << format_wall_time(spent_us);
     if (have_model) {
       if (remaining_us == 0) {
@@ -434,7 +370,7 @@ std::size_t render_fleet_status(const std::string& out_dir,
     out << '\n';
 
     for (const ShardView& view : shards) {
-      out << "  shard " << view.index << "/" << run.shard_count << ": "
+      out << "  shard " << view.index << "/" << shard_count << ": "
           << view.done;
       const ShardStatus* s = nullptr;
       if (status) {
@@ -493,38 +429,14 @@ void print_table(const std::vector<std::vector<std::string>>& rows,
 
 std::size_t render_metrics_report(const std::string& out_dir,
                                   std::ostream& out) {
-  // Canonical sidecars first (merged/compacted), shard fragments only
-  // for experiments that have no canonical file yet (mid-sweep).
+  // The canonical sidecar where there is one (merged/compacted), shard
+  // fragments only for experiments that have none yet (mid-sweep).
   std::vector<std::string> paths;
-  std::unordered_set<std::string> canonical;
-  if (fs::exists(out_dir)) {
-    std::vector<std::string> fragments;
-    for (const auto& entry : fs::directory_iterator(out_dir)) {
-      const std::string file = entry.path().filename().string();
-      constexpr std::string_view suffix = ".metrics.jsonl";
-      if (file.size() <= suffix.size() ||
-          file.compare(file.size() - suffix.size(), suffix.size(),
-                       suffix) != 0)
-        continue;
-      const std::string stem = file.substr(0, file.size() - suffix.size());
-      std::string experiment;
-      int index = 0, count = 0;
-      if (parse_shard_stem(stem, experiment, index, count)) {
-        fragments.push_back(entry.path().string());
-      } else {
-        canonical.insert(stem);
-        paths.push_back(entry.path().string());
-      }
-    }
-    for (std::string& path : fragments) {
-      constexpr std::string_view suffix = ".metrics.jsonl";
-      const std::string file = fs::path(path).filename().string();
-      std::string experiment;
-      int index = 0, count = 0;
-      parse_shard_stem(file.substr(0, file.size() - suffix.size()),
-                       experiment, index, count);
-      if (canonical.find(experiment) == canonical.end())
-        paths.push_back(std::move(path));
+  for (const auto& [experiment, sidecars] :
+       layout::list(out_dir, layout::FileKind::kSidecar)) {
+    for (const layout::ShardFile& sidecar : sidecars) {
+      paths.push_back(sidecar.path);
+      if (sidecar.canonical) break;  // sorted first in its group
     }
   }
   std::sort(paths.begin(), paths.end());

@@ -1,7 +1,7 @@
 // Run-level telemetry archives and the fleet status views built on them.
 //
 // Three file formats live here, all beside the shard journals in the run
-// directory:
+// directory (runner/layout.hpp names and finds every one of them):
 //
 //   * `<experiment>.metrics.jsonl` (sharded:
 //     `<experiment>.<i>of<k>.metrics.jsonl`) — the per-cell metrics
@@ -17,10 +17,10 @@
 //   * the existing `<experiment>.costs` model, which `cobra top` reads to
 //     turn "cells remaining" into an ETA.
 //
-// `cobra top` / `cobra sweep --status` render journals + status files +
-// cost models into a live progress view; `cobra report` renders archived
-// metrics sidecars into per-cell comparison tables. Both work purely off
-// the files — no experiment needs to be re-enumerated or re-run.
+// `cobra top` renders journals + status files + cost models into a live
+// progress view; `cobra report` renders archived metrics sidecars into
+// per-cell comparison tables. Both work purely off the files — no
+// experiment needs to be re-enumerated or re-run.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +46,6 @@ struct CellMetricsRecord {
   util::MetricsSnapshot snapshot;       ///< drained registry snapshot
   std::vector<core::RoundStat> rounds;  ///< trajectory ("rounds" mode)
 };
-
-/// The sidecar path for shard index/count of `experiment` under
-/// `out_dir`; shard 1/1 is the canonical `<experiment>.metrics.jsonl`.
-std::string metrics_sidecar_path(const std::string& out_dir,
-                                 const std::string& experiment,
-                                 int shard_index, int shard_count);
 
 /// Serializes a record as one canonical JSONL line
 /// (`{"v":1,"cell":...,"mode":...,"wall_us":...,"metrics":{...},
@@ -89,10 +83,6 @@ void append_metrics_record(const std::string& path,
 std::vector<CellMetricsRecord> order_records(
     std::vector<CellMetricsRecord> records,
     const std::vector<std::string>& cell_order);
-
-/// The supervisor status path: `<out_dir>/<experiment>.sweep.status`.
-std::string sweep_status_path(const std::string& out_dir,
-                              const std::string& experiment);
 
 /// One shard's line in the supervisor status file.
 struct ShardStatus {

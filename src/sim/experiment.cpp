@@ -1,101 +1,8 @@
 #include "sim/experiment.hpp"
 
-#include <iostream>
-
-#include "sim/monte_carlo.hpp"
 #include "util/env.hpp"
 
 namespace cobra::sim {
-
-Experiment::Experiment(std::string id, std::string title,
-                       std::vector<std::string> columns)
-    : Experiment(std::move(id), std::move(title), std::move(columns),
-                 ExperimentOutput{}) {}
-
-Experiment::Experiment(std::string id, std::string title,
-                       std::vector<std::string> columns,
-                       const ExperimentOutput& out)
-    : id_(std::move(id)),
-      title_(std::move(title)),
-      table_(columns),
-      console_(out.console) {
-  if (out.write_csv) {
-    csv_path_ =
-        out.csv_path.empty() ? "bench_results/" + id_ + ".csv" : out.csv_path;
-    csv_ = std::make_unique<util::CsvWriter>(
-        csv_path_, std::move(columns),
-        out.append ? util::CsvWriter::Mode::kAppend
-                   : util::CsvWriter::Mode::kTruncate);
-  }
-}
-
-Experiment& Experiment::row() {
-  table_.row();
-  if (csv_) csv_->row();
-  return *this;
-}
-
-Experiment& Experiment::add(const std::string& cell) {
-  table_.add(cell);
-  if (csv_) csv_->add(cell);
-  return *this;
-}
-
-Experiment& Experiment::add(const char* cell) {
-  return add(std::string(cell));
-}
-
-Experiment& Experiment::add(double value, int decimals) {
-  table_.add(value, decimals);
-  if (csv_) csv_->add(value);
-  return *this;
-}
-
-Experiment& Experiment::add(std::int64_t value) {
-  table_.add(value);
-  if (csv_) csv_->add(value);
-  return *this;
-}
-
-Experiment& Experiment::add(std::uint64_t value) {
-  table_.add(value);
-  if (csv_) csv_->add(value);
-  return *this;
-}
-
-Experiment& Experiment::add(int value) {
-  return add(static_cast<std::int64_t>(value));
-}
-
-Experiment& Experiment::add_formatted(const std::string& console_text,
-                                      const std::string& csv_text) {
-  table_.add(console_text);
-  if (csv_) csv_->add(csv_text);
-  return *this;
-}
-
-Experiment& Experiment::rule() {
-  table_.rule();
-  return *this;
-}
-
-void Experiment::note(const std::string& text) { notes_.push_back(text); }
-
-void Experiment::finish() {
-  if (finished_) return;
-  finished_ = true;
-  if (console_) {
-    std::cout << "\n=== " << id_ << " ===\n"
-              << title_ << "\n"
-              << "seed=" << util::global_seed() << " scale=" << util::scale()
-              << " workers=" << worker_count()
-              << " engine=" << util::engine() << "\n\n";
-    table_.print(std::cout);
-    for (const std::string& n : notes_) std::cout << "  * " << n << '\n';
-    if (csv_) std::cout << "  -> " << csv_path_ << '\n';
-  }
-  if (csv_) csv_->close();
-}
 
 std::uint64_t default_replicates(std::uint64_t base) {
   return static_cast<std::uint64_t>(util::scaled(

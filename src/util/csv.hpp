@@ -1,10 +1,11 @@
 // Minimal CSV writing/reading for experiment result archiving.
 //
-// Every bench/exp_* experiment writes its rows to bench_results/<name>.csv so
-// EXPERIMENTS.md numbers are regenerable and plottable. The runner
-// subsystem additionally appends to per-shard fragments (resume) and reads
-// them back (merge), so the writer supports reopening an existing archive
-// and a small reader understands the writer's quoting.
+// The runner's sweep writes every experiment table to <out-dir>/<table>.csv
+// (per-shard fragments when sharded) so EXPERIMENTS.md numbers are
+// regenerable and plottable. It appends to fragments on resume and reads
+// them back for the merge, the console replay and the summary notes, so
+// the writer supports reopening an existing archive and a small reader
+// understands the writer's quoting.
 #pragma once
 
 #include <cstdint>

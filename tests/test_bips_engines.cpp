@@ -230,12 +230,5 @@ TEST(BipsEngines, ProbabilityKernelIsEngineIndependent) {
     EXPECT_EQ(after[Engine::kReference], after[e]);
 }
 
-TEST(BipsEngines, RejectsNonPositiveEdgeBudget) {
-  const graph::Graph g = graph::cycle(8);
-  BipsOptions opt;
-  opt.dense_edge_budget = 0.0;
-  EXPECT_THROW(BipsProcess(g, 0, opt), util::CheckError);
-}
-
 }  // namespace
 }  // namespace cobra::core

@@ -2,52 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 namespace cobra::sim {
 namespace {
-
-TEST(Experiment, WritesCsvMirror) {
-  {
-    Experiment exp("test_exp_unit", "unit-test experiment",
-                   {"graph", "n", "value"});
-    exp.row().add("cycle").add(std::int64_t{16}).add(3.25);
-    exp.row().add("path").add(std::int64_t{8}).add(1.5);
-    exp.note("a note");
-    testing::internal::CaptureStdout();
-    exp.finish();
-    const std::string out = testing::internal::GetCapturedStdout();
-    EXPECT_NE(out.find("test_exp_unit"), std::string::npos);
-    EXPECT_NE(out.find("cycle"), std::string::npos);
-    EXPECT_NE(out.find("a note"), std::string::npos);
-  }
-  std::ifstream csv("bench_results/test_exp_unit.csv");
-  ASSERT_TRUE(csv.good());
-  std::string line;
-  std::getline(csv, line);
-  EXPECT_EQ(line, "graph,n,value");
-  std::getline(csv, line);
-  EXPECT_EQ(line, "cycle,16,3.25");
-  csv.close();
-  std::remove("bench_results/test_exp_unit.csv");
-}
-
-TEST(Experiment, FinishIsIdempotent) {
-  Experiment exp("test_exp_idem", "idempotent finish", {"a"});
-  exp.row().add("x");
-  testing::internal::CaptureStdout();
-  exp.finish();
-  exp.finish();
-  const std::string out = testing::internal::GetCapturedStdout();
-  // Banner printed exactly once.
-  const std::string banner = "=== test_exp_idem ===";
-  const auto first = out.find(banner);
-  ASSERT_NE(first, std::string::npos);
-  EXPECT_EQ(out.find(banner, first + 1), std::string::npos);
-  std::remove("bench_results/test_exp_idem.csv");
-}
 
 TEST(Experiment, DefaultReplicatesScales) {
   const auto base = default_replicates(32);

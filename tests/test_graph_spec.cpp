@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/binary_io.hpp"
@@ -44,6 +45,30 @@ TEST(GraphSpec, RejectsMalformedSpecs) {
         "regular_9_r3", "petersen_2", "file:", ""}) {
     EXPECT_THROW((void)build_graph_spec(spec), util::CheckError)
         << "spec '" << spec << "' should be rejected";
+  }
+}
+
+TEST(GraphSpec, RefusesSpecsWhoseCsrExceedsPhysicalMemory) {
+  // 8(n+1) + 8m bytes: K_200000 has m = 19,999,900,000 edges, Q_30
+  // m = 30 * 2^29. Validation refuses without building, so a machine that
+  // could hold the CSR is detected before anything is allocated.
+  for (const auto& [spec, estimate] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"complete_200000", "160.0 GB"}, {"hypercube_30", "137.4 GB"}}) {
+    try {
+      (void)graph_spec_label(spec);
+      GTEST_SKIP() << "this machine's physical memory holds " << spec;
+    } catch (const util::CheckError&) {
+    }
+    try {
+      (void)build_graph_spec(spec);
+      ADD_FAILURE() << spec << " was not refused";
+    } catch (const util::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + spec + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find(estimate), std::string::npos) << what;
+      EXPECT_NE(what.find("physical memory"), std::string::npos) << what;
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include "core/cobra.hpp"
 #include "graph/generators.hpp"
 #include "rng/stream.hpp"
+#include "runner/layout.hpp"
 #include "runner/registry.hpp"
 #include "runner/sweep.hpp"
 #include "util/assert.hpp"
@@ -83,9 +84,9 @@ TEST(CellMetricsRecord, ParserRejectsMalformedLines) {
 }
 
 TEST(MetricsSidecar, PathNaming) {
-  EXPECT_EQ(metrics_sidecar_path("out", "exp", 1, 1),
+  EXPECT_EQ(layout::sidecar("out", "exp", 1, 1),
             "out/exp.metrics.jsonl");
-  EXPECT_EQ(metrics_sidecar_path("out", "exp", 2, 4),
+  EXPECT_EQ(layout::sidecar("out", "exp", 2, 4),
             "out/exp.2of4.metrics.jsonl");
 }
 
@@ -171,7 +172,7 @@ TEST_F(TelemetryFileTest, OrderRecordsDedupsAndFollowsEnumeration) {
 }
 
 TEST_F(TelemetryFileTest, SweepStatusRoundTrips) {
-  const std::string path = sweep_status_path(dir_.string(), "exp");
+  const std::string path = layout::sweep_status(dir_.string(), "exp");
   EXPECT_EQ(path, (dir_ / "exp.sweep.status").string());
   EXPECT_FALSE(read_sweep_status(path).has_value());  // missing file
 

@@ -27,8 +27,10 @@
 #include "rng/stream.hpp"
 #include "runner/cli.hpp"
 #include "runner/journal.hpp"
+#include "runner/layout.hpp"
 #include "runner/registry.hpp"
 #include "runner/sweep.hpp"
+#include "runner/telemetry.hpp"
 #include "util/assert.hpp"
 #include "util/env.hpp"
 
@@ -200,7 +202,7 @@ TEST_F(SupervisorTest, SupervisedSweepMatchesUnshardedRun) {
   expect_byte_identical("swept");
   // The merge archived the cost model for weighted re-sharding.
   EXPECT_TRUE(fs::exists(
-      costs_path_for((dir_ / "swept").string(), kExperiment)));
+      layout::costs((dir_ / "swept").string(), kExperiment)));
 }
 
 TEST_F(SupervisorTest, KilledWorkerIsReassignedAndMergeIsByteIdentical) {
@@ -219,7 +221,7 @@ TEST_F(SupervisorTest, KilledWorkerIsReassignedAndMergeIsByteIdentical) {
   // The respawned worker resumed the journal instead of restarting it:
   // the shard's journal holds its full slice exactly once.
   const auto [header, entries] = Journal::read(
-      Journal::path_for((dir_ / "killed").string(), kExperiment, 2, 3));
+      layout::journal((dir_ / "killed").string(), kExperiment, 2, 3));
   EXPECT_EQ(entries.size(),
             shard_slice(kCells, 2, 3).size());
 }
@@ -385,6 +387,36 @@ TEST_F(SupervisorTest, RefusesAnOutDirWithJournalsOfAnotherShardCount) {
   EXPECT_EQ(again.restarts_total, 0);
   supervise_experiment(make_synthetic(), config("resweep", 2));
   expect_byte_identical("resweep");
+}
+
+TEST_F(SupervisorTest, StrayShardLikeJournalIsIgnoredEverywhere) {
+  // A finished unsharded run beside a file that only looks like a shard
+  // journal (a renamed stale one): the merge, the fleet view and the
+  // sweep's conflict check all read the directory through one parser, so
+  // all three see the same single 1/1 run.
+  SweepConfig ref;
+  ref.out_dir = (dir_ / "stray").string();
+  ref.console = false;
+  run_experiment(make_synthetic(), ref);
+  const std::string journal = layout::journal(ref.out_dir, kExperiment, 1, 1);
+  fs::copy_file(journal, ref.out_dir + "/" + kExperiment + ".1of2x.journal");
+
+  const MergeResult merged =
+      merge_experiment(make_synthetic(), ref.out_dir, nullptr);
+  EXPECT_EQ(merged.shard_count, 1);
+  EXPECT_EQ(merged.cells, static_cast<std::size_t>(kCells));
+
+  std::ostringstream top;
+  EXPECT_EQ(render_fleet_status(ref.out_dir, top), 1u);
+  EXPECT_NE(top.str().find("1 shard,"), std::string::npos) << top.str();
+  EXPECT_NE(top.str().find("shard 1/1:"), std::string::npos) << top.str();
+
+  const SupervisorResult swept =
+      supervise_experiment(make_synthetic(), config("stray", 1));
+  EXPECT_EQ(swept.merge.shard_count, 1);
+  EXPECT_EQ(swept.restarts_total, 0);
+  run_reference();
+  expect_byte_identical("stray");
 }
 
 TEST_F(SupervisorTest, SpecDrivenSweepPrebakesGraphsForItsWorkers) {

@@ -11,10 +11,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rng/stream.hpp"
 #include "runner/journal.hpp"
+#include "runner/layout.hpp"
 #include "runner/registry.hpp"
 #include "util/assert.hpp"
 #include "util/csv.hpp"
@@ -329,6 +331,38 @@ TEST_F(SweepTest, MergeRefusesIncompleteOrMissingShards) {
                util::CheckError);
 }
 
+TEST_F(SweepTest, MergeRefusesFragmentsItsJournalsDoNotAccountFor) {
+  const ExperimentDef def = make_test_experiment();
+  for (const char* sub : {"extra", "short"}) {
+    run_experiment(def, config(sub, 1, 2));
+    run_experiment(def, config(sub, 2, 2));
+  }
+  // One row more than the journal records, and one fewer.
+  const std::string extra =
+      layout::fragment((dir_ / "extra").string(), "synthetic_main", 2, 2);
+  std::ofstream(extra, std::ios::app) << "c9,9,1.5\n";
+  const std::string shortened =
+      layout::fragment((dir_ / "short").string(), "synthetic_main", 2, 2);
+  std::string text = slurp(shortened);
+  text.erase(text.rfind('\n', text.size() - 2) + 1);
+  std::ofstream(shortened, std::ios::trunc) << text;
+
+  for (const auto& [sub, what] :
+       {std::pair{"extra", "holds rows no journal entry accounts for"},
+        std::pair{"short", "holds fewer rows than its journal records"}}) {
+    try {
+      merge_experiment(def, (dir_ / sub).string(), nullptr);
+      ADD_FAILURE() << sub << ": merge accepted a tampered fragment";
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("shard2of2.csv"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST_F(SweepTest, JournalRecordsWallTimeAndMergeSummarizesIt) {
   const ExperimentDef def = make_test_experiment();
   run_experiment(def, config("walltime", 1, 2));
@@ -519,7 +553,7 @@ TEST_F(SweepTest, CompletedRunsArchiveTheCostModelAndItRoundTrips) {
   run_experiment(def, config("costs"));
 
   const std::string path =
-      costs_path_for((dir_ / "costs").string(), "synthetic");
+      layout::costs((dir_ / "costs").string(), "synthetic");
   ASSERT_TRUE(fs::exists(path));
   const auto costs = read_costs_file(path);
   EXPECT_EQ(costs.size(), static_cast<std::size_t>(kCells));
