@@ -43,7 +43,11 @@ std::vector<Case> cases() {
   for (const std::uint32_t r : {3u, 8u, 16u, 32u}) {
     out.push_back({"random_regular r=" + std::to_string(r),
                    [r](graph::VertexId n_base, rng::Rng& rng) {
-                     return graph::connected_random_regular(n_base, r, rng);
+                     // n*r must be even: an odd r takes an odd scaled n
+                     // up to the next even one.
+                     const graph::VertexId n =
+                         r % 2 == 1 ? n_base + n_base % 2 : n_base;
+                     return graph::connected_random_regular(n, r, rng);
                    }});
   }
   out.push_back({"odd cycle (tiny gap)",

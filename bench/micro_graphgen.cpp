@@ -1,5 +1,7 @@
 // Graph generator throughput (experiments regenerate graphs per
-// configuration, so generation must stay cheap relative to simulation),
+// configuration, so generation must stay cheap relative to simulation;
+// BM_GenRandomRegular/65536/8 and BM_GenComplete/2048 are the graphs the
+// expander-prebaked perfbench workload bakes),
 // plus the BM_GraphIo* axis: the same workhorse graph obtained by
 // in-process generation vs loading a pre-baked binary .cgr (owned copy
 // vs O(header) mmap open vs mmap + full adjacency scan). The committed
@@ -21,12 +23,20 @@ namespace {
 
 using namespace cobra;
 
+// Labels use the graph-spec names, so these rows read against the
+// `cobra graph gen` timings of the same graphs.
 void BM_GenComplete(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(
         graph::complete(static_cast<graph::VertexId>(state.range(0))));
+  state.SetLabel("complete_" + std::to_string(state.range(0)));
 }
-BENCHMARK(BM_GenComplete)->Arg(256)->Arg(1024);
+BENCHMARK(BM_GenComplete)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GenHypercube(benchmark::State& state) {
   for (auto _ : state)
@@ -61,10 +71,12 @@ void BM_GenRandomRegular(benchmark::State& state) {
     rng::Rng rng = rng::make_stream(6, salt++);
     benchmark::DoNotOptimize(graph::random_regular(n, r, rng));
   }
+  state.SetLabel("regular_" + std::to_string(n) + "_r" + std::to_string(r));
 }
 BENCHMARK(BM_GenRandomRegular)
     ->Args({1 << 12, 4})
     ->Args({1 << 12, 16})
+    ->Args({1 << 16, 8})
     ->Unit(benchmark::kMillisecond);
 
 void BM_GenBarabasiAlbert(benchmark::State& state) {

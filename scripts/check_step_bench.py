@@ -69,7 +69,8 @@ Regenerate the baselines with:
       --benchmark_out_format=json
   ./build/bench/micro_bips --benchmark_out=bench_results/BENCH_bips.json \
       --benchmark_out_format=json
-  ./build/bench/micro_graphgen --benchmark_filter='BM_GraphIo' \
+  ./build/bench/micro_graphgen \
+      --benchmark_filter='BM_GraphIo|BM_GenRandomRegular/65536|BM_GenComplete/(2048|4096)' \
       --benchmark_out=bench_results/BENCH_graph_io.json \
       --benchmark_out_format=json
   ./build/bench/micro_metrics \

@@ -7,6 +7,7 @@
 #include <limits>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "graph/io.hpp"
 #include "util/assert.hpp"
 #include "util/metrics.hpp"
@@ -349,17 +350,11 @@ CgrInfo ingest_edge_list_file(const std::string& edge_list_path,
 
   // Sort each list and give duplicate edges an actionable message before
   // the validating Graph constructor sees them.
-  for (std::size_t u = 0; u < n; ++u) {
-    const auto first = adj.begin() + static_cast<std::ptrdiff_t>(offsets[u]);
-    const auto last =
-        adj.begin() + static_cast<std::ptrdiff_t>(offsets[u + 1]);
-    std::sort(first, last);
-    const auto dup = std::adjacent_find(first, last);
-    COBRA_CHECK_MSG(dup == last,
-                    edge_list_path << ": duplicate edge {" << u << ", "
-                                   << *dup << "} (each undirected edge "
-                                   << "must appear once)");
-  }
+  const auto dup = finish_csr(offsets, adj, DuplicatePolicy::kReject);
+  COBRA_CHECK_MSG(!dup.has_value(),
+                  edge_list_path << ": duplicate edge {" << dup->first << ", "
+                                 << dup->second << "} (each undirected edge "
+                                 << "must appear once)");
 
   std::string graph_name = name;
   if (graph_name.empty())

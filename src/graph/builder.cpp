@@ -6,6 +6,40 @@
 
 namespace cobra::graph {
 
+std::optional<std::pair<VertexId, VertexId>> finish_csr(
+    std::vector<std::uint64_t>& offsets, std::vector<VertexId>& adj,
+    DuplicatePolicy policy) {
+  const std::size_t n = offsets.size() - 1;
+  std::uint64_t lo = 0;   // old start of list u
+  std::uint64_t out = 0;  // compacted start of list u
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::uint64_t hi = offsets[u + 1];
+    const auto first = adj.begin() + static_cast<std::ptrdiff_t>(lo);
+    const auto last = adj.begin() + static_cast<std::ptrdiff_t>(hi);
+    std::sort(first, last);
+    if (policy == DuplicatePolicy::kReject) {
+      // Every edge sits in both of its lists, so the first list with a
+      // repeat is that of the smaller endpoint, and its first repeat is
+      // the smallest partner.
+      const auto dup = std::adjacent_find(first, last);
+      if (dup != last) return std::make_pair(static_cast<VertexId>(u), *dup);
+    } else {
+      const auto unique_end = std::unique(first, last);
+      offsets[u] = out;
+      if (out != lo)
+        std::move(first, unique_end,
+                  adj.begin() + static_cast<std::ptrdiff_t>(out));
+      out += static_cast<std::uint64_t>(unique_end - first);
+    }
+    lo = hi;
+  }
+  if (policy == DuplicatePolicy::kDeduplicate) {
+    offsets[n] = out;
+    adj.resize(out);
+  }
+  return std::nullopt;
+}
+
 GraphBuilder::GraphBuilder(VertexId num_vertices, DuplicatePolicy policy)
     : n_(num_vertices), policy_(policy) {}
 
@@ -21,35 +55,28 @@ void GraphBuilder::reserve(std::size_t num_edges) {
 }
 
 Graph GraphBuilder::build(std::string name) && {
-  std::sort(edges_.begin(), edges_.end());
-  const auto first_dup = std::adjacent_find(edges_.begin(), edges_.end());
-  if (first_dup != edges_.end()) {
-    COBRA_CHECK_MSG(policy_ == DuplicatePolicy::kDeduplicate,
-                    "duplicate edge {" << first_dup->first << ","
-                                       << first_dup->second << "}");
-    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  }
-
-  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n_) + 1, 0);
+  // offsets[u + 1] counts u's degree, then the prefix sum turns offsets[u]
+  // into u's start; filling advances offsets[u] to u's end, and one shift
+  // restores the starts.
+  const std::size_t n = n_;
+  std::vector<std::uint64_t> offsets(n + 1, 0);
   for (const auto& [u, v] : edges_) {
     ++offsets[u + 1];
     ++offsets[v + 1];
   }
-  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-
+  for (std::size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
   std::vector<VertexId> adj(edges_.size() * 2);
-  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
   for (const auto& [u, v] : edges_) {
-    adj[cursor[u]++] = v;
-    adj[cursor[v]++] = u;
+    adj[offsets[u]++] = v;
+    adj[offsets[v]++] = u;
   }
-  // Each u's slice was filled in increasing v order for the (u, v) half
-  // (edges_ sorted lexicographically) but the (v, u) half arrives in u order
-  // interleaved, so sort each list; lists are short relative to m.
-  for (VertexId u = 0; u < n_; ++u)
-    std::sort(adj.begin() + static_cast<std::ptrdiff_t>(offsets[u]),
-              adj.begin() + static_cast<std::ptrdiff_t>(offsets[u + 1]));
+  for (std::size_t i = n; i > 0; --i) offsets[i] = offsets[i - 1];
+  offsets[0] = 0;
+  edges_ = {};
 
+  const auto dup = finish_csr(offsets, adj, policy_);
+  COBRA_CHECK_MSG(!dup.has_value(), "duplicate edge {" << dup->first << ","
+                                                       << dup->second << "}");
   return Graph(std::move(offsets), std::move(adj), std::move(name));
 }
 

@@ -5,7 +5,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -16,6 +18,17 @@ enum class DuplicatePolicy {
   kReject,       // duplicate edge is a logic error (default)
   kDeduplicate,  // keep one copy silently
 };
+
+/// The CSR finisher shared by GraphBuilder::build and the edge-list
+/// ingest: sorts every adjacency list of a symmetric CSR whose lists were
+/// filled in any order, then applies `policy` to parallel edges.
+/// kDeduplicate drops the repeats, compacting `adj` and rewriting
+/// `offsets`. kReject stops at the first list holding a repeat and returns
+/// that pair {u, v}, u < v — the lexicographically first duplicate edge.
+/// Returns nullopt when the lists are duplicate-free.
+std::optional<std::pair<VertexId, VertexId>> finish_csr(
+    std::vector<std::uint64_t>& offsets, std::vector<VertexId>& adj,
+    DuplicatePolicy policy);
 
 class GraphBuilder {
  public:
@@ -29,7 +42,8 @@ class GraphBuilder {
 
   [[nodiscard]] std::size_t num_edges_added() const { return edges_.size(); }
 
-  /// Sorts, validates/dedups and emits the Graph. The builder is consumed.
+  /// Counts degrees, scatters each edge into both lists, then finishes the
+  /// lists with finish_csr and emits the Graph. The builder is consumed.
   Graph build(std::string name = "") &&;
 
  private:

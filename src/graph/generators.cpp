@@ -1,5 +1,6 @@
 #include "graph/generators.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <sstream>
 
@@ -9,38 +10,79 @@
 
 namespace cobra::graph {
 
+namespace {
+
+/// CSR of a family whose neighbour lists are known in ascending order:
+/// `list(u, out)` writes u's neighbours from `out` on and returns the end.
+/// No edge list and no sort; the Graph constructor still validates the
+/// result.
+template <typename List>
+Graph direct_csr(VertexId n, std::uint64_t degree_sum, List list,
+                 std::string name) {
+  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<VertexId> adj(degree_sum);
+  VertexId* out = adj.data();
+  for (VertexId u = 0; u < n; ++u) {
+    out = list(u, out);
+    offsets[u + 1] = static_cast<std::uint64_t>(out - adj.data());
+  }
+  COBRA_CHECK(offsets[n] == degree_sum);
+  return Graph(std::move(offsets), std::move(adj), std::move(name));
+}
+
+}  // namespace
+
 Graph complete(VertexId n) {
   COBRA_CHECK(n >= 2);
-  GraphBuilder b(n);
-  b.reserve(static_cast<std::size_t>(n) * (n - 1) / 2);
-  for (VertexId u = 0; u < n; ++u)
-    for (VertexId v = u + 1; v < n; ++v) b.add_edge(u, v);
-  return std::move(b).build("complete(" + std::to_string(n) + ")");
+  return direct_csr(
+      n, static_cast<std::uint64_t>(n) * (n - 1),
+      [n](VertexId u, VertexId* out) {
+        std::iota(out, out + u, VertexId{0});
+        std::iota(out + u, out + n - 1, u + 1);
+        return out + n - 1;
+      },
+      "complete(" + std::to_string(n) + ")");
 }
 
 Graph cycle(VertexId n) {
   COBRA_CHECK(n >= 3);
-  GraphBuilder b(n);
-  b.reserve(n);
-  for (VertexId u = 0; u + 1 < n; ++u) b.add_edge(u, u + 1);
-  b.add_edge(n - 1, 0);
-  return std::move(b).build("cycle(" + std::to_string(n) + ")");
+  return direct_csr(
+      n, 2 * static_cast<std::uint64_t>(n),
+      [n](VertexId u, VertexId* out) {
+        const VertexId prev = u == 0 ? n - 1 : u - 1;
+        const VertexId next = u + 1 == n ? 0 : u + 1;
+        *out++ = std::min(prev, next);
+        *out++ = std::max(prev, next);
+        return out;
+      },
+      "cycle(" + std::to_string(n) + ")");
 }
 
 Graph path(VertexId n) {
   COBRA_CHECK(n >= 2);
-  GraphBuilder b(n);
-  b.reserve(n - 1);
-  for (VertexId u = 0; u + 1 < n; ++u) b.add_edge(u, u + 1);
-  return std::move(b).build("path(" + std::to_string(n) + ")");
+  return direct_csr(
+      n, 2 * static_cast<std::uint64_t>(n - 1),
+      [n](VertexId u, VertexId* out) {
+        if (u > 0) *out++ = u - 1;
+        if (u + 1 < n) *out++ = u + 1;
+        return out;
+      },
+      "path(" + std::to_string(n) + ")");
 }
 
 Graph star(VertexId n) {
   COBRA_CHECK(n >= 2);
-  GraphBuilder b(n);
-  b.reserve(n - 1);
-  for (VertexId v = 1; v < n; ++v) b.add_edge(0, v);
-  return std::move(b).build("star(" + std::to_string(n) + ")");
+  return direct_csr(
+      n, 2 * static_cast<std::uint64_t>(n - 1),
+      [n](VertexId u, VertexId* out) {
+        if (u != 0) {
+          *out = 0;
+          return out + 1;
+        }
+        std::iota(out, out + n - 1, VertexId{1});
+        return out + n - 1;
+      },
+      "star(" + std::to_string(n) + ")");
 }
 
 Graph complete_bipartite(VertexId a, VertexId b_side) {
@@ -57,14 +99,18 @@ Graph complete_bipartite(VertexId a, VertexId b_side) {
 Graph hypercube(std::uint32_t d) {
   COBRA_CHECK(d >= 1 && d < 31);
   const VertexId n = static_cast<VertexId>(1u) << d;
-  GraphBuilder b(n);
-  b.reserve(static_cast<std::size_t>(n) * d / 2);
-  for (VertexId u = 0; u < n; ++u)
-    for (std::uint32_t bit = 0; bit < d; ++bit) {
-      const VertexId v = u ^ (VertexId{1} << bit);
-      if (u < v) b.add_edge(u, v);
-    }
-  return std::move(b).build("hypercube(" + std::to_string(d) + ")");
+  return direct_csr(
+      n, static_cast<std::uint64_t>(n) * d,
+      [d](VertexId u, VertexId* out) {
+        // Clearing a higher set bit gives a smaller neighbour, setting a
+        // higher clear bit a larger one.
+        for (std::uint32_t bit = d; bit-- > 0;)
+          if ((u >> bit) & 1u) *out++ = u ^ (VertexId{1} << bit);
+        for (std::uint32_t bit = 0; bit < d; ++bit)
+          if (((u >> bit) & 1u) == 0) *out++ = u | (VertexId{1} << bit);
+        return out;
+      },
+      "hypercube(" + std::to_string(d) + ")");
 }
 
 Graph grid(const std::vector<VertexId>& dims, bool torus) {

@@ -23,7 +23,14 @@ Graph erdos_renyi_gnp(VertexId n, double p, rng::Rng& rng);
 /// Uniform-ish random r-regular simple graph via the pairing (configuration)
 /// model with rejection, falling back to local edge-switch repairs after
 /// `max_restarts` collisions (repairs introduce negligible bias for the
-/// sizes used here; see DESIGN.md). Requires n*r even, 1 <= r < n.
+/// sizes used here). Requires n*r even, 1 <= r < n.
+///
+/// Draw-stream contract: every rejected attempt draws a full shuffle of
+/// the n·r stubs, so the rejection loop's draws are part of the instance.
+/// The graph and the state `rng` is left in are pinned by the golden test
+/// (tests/test_graph_golden.cpp); skipping attempts known to fail (the
+/// success probability is ~ exp(-(r²-1)/4)) would change every instance
+/// and needs a generator-version bump with regenerated archives.
 Graph random_regular(VertexId n, std::uint32_t r, rng::Rng& rng,
                      std::uint32_t max_restarts = 64);
 

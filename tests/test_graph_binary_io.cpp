@@ -263,8 +263,11 @@ TEST(GraphBinaryIo, IngestRejectsDuplicateEdge) {
     ingest_edge_list_file(edges.path, cgr.path);
     FAIL() << "expected CheckError";
   } catch (const util::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("duplicate edge"),
-              std::string::npos);
+    // Located, and naming the lexicographically first duplicate.
+    EXPECT_NE(std::string(e.what()).find(edges.path +
+                                         ": duplicate edge {0, 1}"),
+              std::string::npos)
+        << e.what();
   }
 }
 
