@@ -1,22 +1,19 @@
 // BIPS frontier-kernel A/B harness: every benchmark runs with an explicit
-// (graph family, engine) pair so reference vs sparse vs dense vs auto can
-// be compared like for like — all four are bit-for-bit identical in
-// results (tests/test_bips_engines.cpp), so the ratios are pure cost.
-// Three views of the hot path:
+// (graph family, engine) pair so sparse vs dense vs auto can be compared
+// like for like — all three are bit-for-bit identical in results
+// (tests/test_bips_engines.cpp), so the ratios are pure cost. Three views
+// of the hot path:
 //
-//   BM_BipsRound            — per-round cost along full-infection
-//                             trajectories (restarting when absorbed), the
-//                             mix experiments actually pay; items = n per
-//                             round;
-//   BM_BipsFullInfection    — end-to-end infec(source) runs;
-//   BM_BipsRoundProbability — E14 kernel ablation: the probability kernel's
-//                             O(d(A_t)) scan against the sampling kernel
-//                             (engine-independent by design).
+//   BM_BipsRound         — per-round cost along full-infection trajectories
+//                          (restarting when absorbed), the mix experiments
+//                          actually pay; items = n per round;
+//   BM_BipsRoundThreads  — the dense round's lane scaling;
+//   BM_BipsFullInfection — end-to-end infec(source) runs.
 //
 // The committed baseline bench_results/BENCH_bips.json is produced by this
 // binary (see README.md "Performance" for the regeneration command) and
 // guarded by scripts/check_step_bench.py --suite bips: the dense engine
-// must stay >= 2x the reference engine on the BM_BipsRound trajectory of
+// must stay >= 2x the sparse engine on the BM_BipsRound trajectory of
 // the largest b = 2 random-regular graph (ctest bench_bips_baseline_check
 // + the CI bench job).
 #include <benchmark/benchmark.h>
@@ -69,8 +66,9 @@ const graph::Graph& bench_graph(int id) {
   return it->second;
 }
 
-constexpr Engine kEngines[] = {Engine::kReference, Engine::kSparse,
-                               Engine::kDense, Engine::kAuto};
+constexpr Engine kEngines[] = {Engine::kSparse, Engine::kDense,
+                               Engine::kAuto};
+constexpr int kNumEngines = 3;
 
 std::string bench_label(int graph_id, int engine_id) {
   return std::string(graph_name(graph_id)) + "/" +
@@ -101,7 +99,7 @@ void BM_BipsRound(benchmark::State& state) {
 }
 BENCHMARK(BM_BipsRound)
     ->ArgsProduct({benchmark::CreateDenseRange(0, kNumGraphs - 1, 1),
-                   benchmark::CreateDenseRange(0, 3, 1)});
+                   benchmark::CreateDenseRange(0, kNumEngines - 1, 1)});
 
 void BM_BipsRoundThreads(benchmark::State& state) {
   // Lane-scaling view of the dense BIPS round on the largest graph,
@@ -142,27 +140,9 @@ void BM_BipsFullInfection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BipsFullInfection)
-    ->ArgsProduct({{2, 4}, benchmark::CreateDenseRange(0, 3, 1)})
+    ->ArgsProduct({{2, 4},
+                   benchmark::CreateDenseRange(0, kNumEngines - 1, 1)})
     ->Unit(benchmark::kMillisecond);
-
-void BM_BipsRoundProbability(benchmark::State& state) {
-  // E14 design ablation: the probability kernel's O(d(A_t) + |N(A_t)|)
-  // round against the sampling kernel's (see BM_BipsRound for the latter).
-  const int graph_id = static_cast<int>(state.range(0));
-  const graph::Graph& g = bench_graph(graph_id);
-  state.SetLabel(std::string(graph_name(graph_id)) + "/probability");
-  BipsOptions opt;
-  opt.kernel = BipsKernel::kProbability;
-  BipsProcess p(g, 0, opt);
-  rng::Rng rng = rng::make_stream(3, 0);
-  for (auto _ : state) {
-    p.step(rng);
-    if (p.fully_infected()) p.reset(0);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(g.num_vertices()));
-}
-BENCHMARK(BM_BipsRoundProbability)->DenseRange(0, kNumGraphs - 1);
 
 }  // namespace
 

@@ -6,11 +6,11 @@ each guard one fast-vs-slow pair that encodes the suite's headline claim;
 the others are described with their semantics:
 
   step      bench_results/BENCH_step.json, produced by micro_cobra. The
-            guarded pair is dense vs reference for the steady-state COBRA
+            guarded pair is dense vs sparse for the steady-state COBRA
             round on the largest b = 2 random-regular graph
             (BM_CobraStep, regular_262144_r8).
   bips      bench_results/BENCH_bips.json, produced by micro_bips. The
-            guarded pair is dense vs reference for the
+            guarded pair is dense vs sparse for the
             full-infection-trajectory BIPS round (BM_BipsRound,
             regular_65536_r8).
   graph_io  bench_results/BENCH_graph_io.json, produced by
@@ -58,9 +58,9 @@ Two modes:
 
   check_step_bench.py [--suite S] BASELINE.json FRESH.json [--tolerance 0.30]
       Compares a fresh benchmark JSON against the baseline: any shared
-      benchmark whose per-iteration real_time regressed by more than the
-      tolerance fails the check. Only meaningful on hardware comparable to
-      the baseline's; CI uses the single-file mode with a reduced
+      benchmark (matched by family and label, see regression_key) whose
+      per-iteration real_time regressed by more than the tolerance fails
+      the check. Only meaningful on hardware comparable to the baseline's; CI uses the single-file mode with a reduced
       --min-speedup instead, so heterogeneous runners compare engine
       ratios measured on the same box.
 
@@ -90,9 +90,9 @@ import sys
 # one time unit — the comparison uses real_time verbatim.
 SUITES = {
     "step": {"prefix": "BM_CobraStep/", "graph": "regular_262144_r8",
-             "slow": "reference", "fast": "dense"},
+             "slow": "sparse", "fast": "dense"},
     "bips": {"prefix": "BM_BipsRound/", "graph": "regular_65536_r8",
-             "slow": "reference", "fast": "dense"},
+             "slow": "sparse", "fast": "dense"},
     "graph_io": {"prefix": "BM_GraphIo", "graph": "regular_262144_r8",
                  "slow": "generate", "fast": "mmap_open"},
     # The metrics suite is handled by check_metrics_overhead (inverted
@@ -274,12 +274,23 @@ def check_baseline(benches, suite, min_speedup):
     print("OK")
 
 
+def regression_key(bench):
+    """A labelled entry is identified by its benchmark family and label,
+    not by its argument indices: the labels name the graph and engine and
+    stay stable when an index range changes (BENCH_step.json and
+    BENCH_bips.json still number engines from a retired 0 = reference)."""
+    label = bench.get("label", "")
+    if label:
+        return (bench["name"].split("/")[0], label)
+    return (bench["name"], "")
+
+
 def check_regression(baseline, fresh, tolerance):
-    base_by_key = {(b["name"], b.get("label", "")): b for b in baseline}
+    base_by_key = {regression_key(b): b for b in baseline}
     failures = []
     compared = 0
     for b in fresh:
-        key = (b["name"], b.get("label", ""))
+        key = regression_key(b)
         if key not in base_by_key:
             continue
         compared += 1
@@ -306,7 +317,7 @@ def main():
     parser.add_argument("--suite", choices=sorted(SUITES), default="step",
                         help="which guarded pair to validate (default step)")
     parser.add_argument("--min-speedup", type=float, default=2.0,
-                        help="required dense/reference speedup (default 2.0)")
+                        help="required fast/slow speedup (default 2.0)")
     parser.add_argument("--tolerance", type=float, default=0.30,
                         help="allowed per-benchmark slowdown vs baseline "
                              "(default 0.30 = +30%%)")

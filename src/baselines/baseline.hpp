@@ -4,7 +4,7 @@
 // Every baseline runs on the process-agnostic frontier kernel
 // (core/frontier_kernel.hpp): destinations come from the shared
 // NeighborSampler and all per-(round, entity) randomness is keyed, so for
-// each protocol the reference, sparse, dense and auto engines produce
+// each protocol the sparse, dense and auto engines produce
 // bit-for-bit identical results at a fixed seed — the engine only selects
 // the frontier representation. The particle protocols (single/multi walk)
 // have no frontier to represent, so their engines coincide trivially; the

@@ -8,8 +8,8 @@
 // active* vertex and lets information die out locally.
 //
 // Runs on the frontier kernel with the informed set as a monotone
-// frontier: destinations are keyed by (round key, vertex), so reference,
-// sparse, dense and auto are bit-for-bit identical; dense rounds scan the
+// frontier: destinations are keyed by (round key, vertex), so sparse,
+// dense and auto are bit-for-bit identical; dense rounds scan the
 // informed bitset in ascending id order and merge new adopters
 // word-parallel.
 #pragma once

@@ -9,7 +9,7 @@ namespace cobra::core {
 
 namespace {
 
-/// The sampling kernel's auto-engine rule: a round runs dense when
+/// The auto-engine rule: a round runs dense when
 /// min(|A_t|, n - |A_t|) · avg_degree <= kDenseEdgeBudget · n — i.e. when
 /// the boundary-marking pass is cheaper than the all-vertex scan — with
 /// the kernel's 2x hysteresis on the way out. Unlike COBRA's density rule
@@ -41,15 +41,10 @@ double bips_infection_probability(std::uint32_t d, std::uint32_t da,
 
 FrontierKernel::Config BipsProcess::kernel_config() const {
   FrontierKernel::Config cfg;
-  // The probability kernel's scan is edge-driven whatever the frontier
-  // representation, so it always runs the sparse path; the engine choice
-  // only drives the sampling kernel.
-  cfg.engine = options_.kernel == BipsKernel::kProbability ? Engine::kSparse
-                                                           : engine_;
+  cfg.engine = engine_;
   cfg.laziness = options_.process.laziness;
-  cfg.build_sampler = options_.kernel == BipsKernel::kSampling;
   cfg.track_visited = false;  // A_t is not monotone
-  cfg.sampler = cfg.build_sampler ? options_.process.sampler : nullptr;
+  cfg.sampler = options_.process.sampler;
   cfg.metrics = options_.process.metrics;
   cfg.kernel_threads = resolve_kernel_threads(options_.process.kernel_threads);
   return cfg;
@@ -66,8 +61,6 @@ BipsProcess::BipsProcess(const graph::Graph& g, graph::VertexId source,
   COBRA_CHECK_MSG(g.min_degree() >= 1,
                   "BIPS needs every vertex to have a neighbour to select");
   source_set_.resize(g.num_vertices());
-  da_.assign(g.num_vertices(), 0);
-  da_stamp_.assign(g.num_vertices(), 0);
   avg_degree_ = static_cast<double>(g.degree_sum()) /
                 static_cast<double>(g.num_vertices());
   reset(source);
@@ -105,11 +98,23 @@ std::uint64_t BipsProcess::infected_degree() const {
 
 std::uint32_t BipsProcess::step(rng::Rng& rng) {
   const std::uint64_t round_key = rng.next_u64();
-  if (options_.kernel == BipsKernel::kSampling) {
-    step_sampling(round_key);
+  const graph::VertexId n = graph_->num_vertices();
+  const std::uint32_t a = kernel_.frontier_size();
+  // Dense rounds pay O(min-side edges) marking; the plain scan pays O(n·b)
+  // draws. Score >= 1 <=> the boundary pass is within the edge budget.
+  const double min_side_edges =
+      static_cast<double>(std::min(a, n - a)) * avg_degree_;
+  const double score =
+      min_side_edges <= 0.0
+          ? 2.0  // fully infected: the dense round is a pure word pass
+          : kDenseEdgeBudget * static_cast<double>(n) /
+                min_side_edges;
+  if (kernel_.begin_round(score)) {
+    step_dense(round_key);
   } else {
-    step_probability(round_key);
+    step_sparse(round_key);
   }
+  kernel_.commit(FrontierKernel::Commit::kReplace);
   ++round_;
   infected_degree_valid_ = false;
   return infected_count();
@@ -129,36 +134,19 @@ bool BipsProcess::catches_infection(graph::VertexId u,
   return false;
 }
 
-void BipsProcess::step_sampling(std::uint64_t round_key) {
-  const graph::VertexId n = graph_->num_vertices();
-  const std::uint32_t a = kernel_.frontier_size();
-  // Dense rounds pay O(min-side edges) marking; the plain scan pays O(n·b)
-  // draws. Score >= 1 <=> the boundary pass is within the edge budget.
-  const double min_side_edges =
-      static_cast<double>(std::min(a, n - a)) * avg_degree_;
-  const double score =
-      min_side_edges <= 0.0
-          ? 2.0  // fully infected: the dense round is a pure word pass
-          : kDenseEdgeBudget * static_cast<double>(n) /
-                min_side_edges;
-  const bool dense = kernel_.begin_round(score);
-  if (dense) {
-    step_sampling_dense(round_key);
-  } else {
-    kernel_.plain_vertex_scan(
-        [&](FrontierKernel::SparseLane& lane, graph::VertexId u) {
-          if (source_set_.test(u)) {
-            lane.emit(u);
-            return;
-          }
-          VertexDraws draws = lane.draws(round_key, u);
-          if (catches_infection(u, draws)) lane.emit(u);
-        });
-  }
-  kernel_.commit(FrontierKernel::Commit::kReplace);
+void BipsProcess::step_sparse(std::uint64_t round_key) {
+  kernel_.plain_vertex_scan(
+      [&](FrontierKernel::SparseLane& lane, graph::VertexId u) {
+        if (source_set_.test(u)) {
+          lane.emit(u);
+          return;
+        }
+        VertexDraws draws = lane.draws(round_key, u);
+        if (catches_infection(u, draws)) lane.emit(u);
+      });
 }
 
-void BipsProcess::step_sampling_dense(std::uint64_t round_key) {
+void BipsProcess::step_dense(std::uint64_t round_key) {
   const graph::VertexId n = graph_->num_vertices();
   const bool lazy = options_.process.laziness > 0.0;
   if (scratch_.size() != n) scratch_.resize(n);
@@ -205,46 +193,6 @@ void BipsProcess::step_sampling_dense(std::uint64_t round_key) {
   }
   // The persistent sources are infected whatever they drew.
   for (const graph::VertexId s : sources_) sink.emit(s);
-}
-
-void BipsProcess::step_probability(std::uint64_t round_key) {
-  kernel_.begin_round(0.0);  // always a sparse round (see kernel_config)
-  // Accumulate d_A(u) for u in N(A_t) by scanning infected adjacency.
-  ++da_epoch_;
-  std::vector<graph::VertexId> touched;
-  touched.reserve(static_cast<std::size_t>(kernel_.frontier_size()) * 2);
-  kernel_.for_each_in_frontier([&](graph::VertexId a) {
-    for (const graph::VertexId u : graph_->neighbors(a)) {
-      if (da_stamp_[u] != da_epoch_) {
-        da_stamp_[u] = da_epoch_;
-        da_[u] = 0;
-        touched.push_back(u);
-      }
-      ++da_[u];
-    }
-  });
-  const double lazy = options_.process.laziness;
-  auto sink = kernel_.plain_sink();
-  for (const graph::VertexId s : sources_) sink.emit(s);
-  // With laziness, an infected vertex can catch from itself even when none
-  // of its neighbours are infected, so infected vertices outside N(A) must
-  // be considered too.
-  if (lazy > 0.0) {
-    kernel_.for_each_in_frontier([&](graph::VertexId u) {
-      if (da_stamp_[u] != da_epoch_) {
-        da_stamp_[u] = da_epoch_;
-        da_[u] = 0;
-        touched.push_back(u);
-      }
-    });
-  }
-  for (const graph::VertexId u : touched) {
-    if (source_set_.test(u)) continue;
-    const double p = bips_infection_probability(
-        graph_->degree(u), da_[u], kernel_.in_frontier(u), options_.process);
-    if (kernel_.draws(round_key, u).bernoulli(p)) sink.emit(u);
-  }
-  kernel_.commit(FrontierKernel::Commit::kReplace);
 }
 
 std::optional<std::uint64_t> BipsProcess::run_until_full(

@@ -7,26 +7,17 @@
 // the source is always infected. infec(v) = min{ t : A_t = V }. Full
 // infection is absorbing.
 //
-// Two execution kernels with identical law (paper §3 algebra; checked by
-// tests and ablated in bench/micro_bips):
-//   * kSampling   — faithful: b draws per vertex, O(n·b) time per round;
-//   * kProbability— computes d_A(u) by scanning the infected set's edges,
-//                   then flips one Bernoulli(1-(1-d_A(u)/d(u))^b) per
-//                   candidate; O(d(A_t)) time per round (wins while A_t is
-//                   small and on low-degree graphs).
-//
-// The sampling kernel runs on the shared frontier kernel
-// (core/frontier_kernel.hpp): all per-vertex randomness is keyed by
-// (round key, vertex), so the reference, sparse, dense and auto engines
-// are bit-for-bit identical at a fixed seed and differ only in cost. The
-// dense engine exploits determined outcomes: a vertex whose selections
-// cannot miss (every neighbour infected, and with laziness also itself) is
-// infected without drawing, and one whose selections cannot hit stays
-// uninfected without drawing — so a round costs O(min(d(A_t), d(V \ A_t)))
-// marking plus draws for the undetermined boundary only, instead of
-// O(n·b). The probability kernel's cost is already edge-driven; it uses
-// the same keyed draws (one Bernoulli per candidate) and is engine-
-// independent.
+// Each vertex makes its b selections from keyed draws on the shared
+// frontier kernel (core/frontier_kernel.hpp): one round key per round, all
+// per-vertex randomness keyed by (round key, vertex), so the sparse, dense
+// and auto engines are bit-for-bit identical at a fixed seed and at every
+// lane count, and differ only in cost. The dense engine exploits
+// determined outcomes: a vertex whose selections cannot miss (every
+// neighbour infected, and with laziness also itself) is infected without
+// drawing, and one whose selections cannot hit stays uninfected without
+// drawing — so a round costs O(min(d(A_t), d(V \ A_t))) marking plus draws
+// for the undetermined boundary only, instead of O(n·b). The law is pinned
+// to the exact subset DP (core/bips_exact) by tests.
 #pragma once
 
 #include <cstdint>
@@ -42,19 +33,19 @@
 
 namespace cobra::core {
 
-/// Execution-kernel selection (identical infection law, different cost).
+/// The one BIPS execution kernel: b keyed draws per vertex with early
+/// exit. Kept as a type only because perfbench/replay.cpp names it.
 enum class BipsKernel {
-  kSampling,     ///< b keyed draws per vertex with early exit
-  kProbability,  ///< one keyed Bernoulli(infection probability) per candidate
+  kSampling,  ///< b keyed draws per vertex with early exit
 };
 
 /// BipsProcess configuration.
 struct BipsOptions {
   /// Branching/laziness/engine shared with COBRA (ProcessOptions::engine
   /// picks the frontier representation; ProcessOptions::sampler may inject
-  /// a shared destination sampler for the sampling kernel).
+  /// a shared destination sampler).
   ProcessOptions process;
-  /// Which execution kernel runs the rounds.
+  /// Always kSampling; kept only because perfbench/replay.cpp reads it.
   BipsKernel kernel = BipsKernel::kSampling;
 };
 
@@ -150,9 +141,7 @@ class BipsProcess {
   /// The options the process was constructed with (engine unresolved).
   [[nodiscard]] const BipsOptions& options() const { return options_; }
 
-  /// The resolved stepping engine (never Engine::kDefault). The
-  /// probability kernel is representation-independent, so for it every
-  /// engine runs the same edge-driven scan.
+  /// The resolved stepping engine (never Engine::kDefault).
   [[nodiscard]] Engine engine() const { return engine_; }
 
   /// Rounds since reset executed with the dense (boundary-marking) path —
@@ -165,9 +154,8 @@ class BipsProcess {
   /// Builds the kernel configuration for the resolved engine.
   FrontierKernel::Config kernel_config() const;
 
-  void step_sampling(std::uint64_t round_key);
-  void step_sampling_dense(std::uint64_t round_key);
-  void step_probability(std::uint64_t round_key);
+  void step_sparse(std::uint64_t round_key);
+  void step_dense(std::uint64_t round_key);
 
   /// Keyed selection trial of vertex u against the current A_t: true iff
   /// any of u's fanout selections hits an infected vertex (early exit —
@@ -189,12 +177,8 @@ class BipsProcess {
   mutable std::uint64_t infected_degree_ = 0;
   mutable bool infected_degree_valid_ = false;
 
-  // Scratch for the dense sampling rounds (boundary marking) and the
-  // probability kernel's d_A accumulation (epoch stamps: no O(n) clear).
+  // Scratch for the dense rounds' boundary marking.
   util::DynamicBitset scratch_;
-  std::vector<std::uint32_t> da_;
-  std::vector<std::uint64_t> da_stamp_;
-  std::uint64_t da_epoch_ = 0;
 };
 
 /// Static helper shared with the exact-DP module: probability that a vertex

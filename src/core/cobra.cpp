@@ -10,11 +10,8 @@ FrontierKernel::Config CobraProcess::kernel_config() const {
   FrontierKernel::Config cfg;
   cfg.engine = engine_;
   cfg.laziness = options_.laziness;
-  // The legacy reference engine draws destinations sequentially from the
-  // replicate stream and never needs the alias tables.
-  cfg.build_sampler = engine_ != Engine::kReference;
   cfg.track_visited = true;
-  cfg.sampler = engine_ != Engine::kReference ? options_.sampler : nullptr;
+  cfg.sampler = options_.sampler;
   cfg.metrics = options_.metrics;
   cfg.kernel_threads = resolve_kernel_threads(options_.kernel_threads);
   return cfg;
@@ -43,49 +40,10 @@ void CobraProcess::reset(std::span<const graph::VertexId> start) {
   transmissions_ = 0;
 }
 
-std::uint32_t CobraProcess::step(rng::Rng& rng) {
-  if (engine_ == Engine::kReference) return step_reference(rng);
-
-  // Fast engines: one round key from the sequential stream; every
-  // per-vertex choice below is a pure function of (round_key, vertex), so
-  // the frontier representation cannot affect the outcome.
-  return step_fast(rng.next_u64());
-}
-
-std::uint32_t CobraProcess::step_reference(rng::Rng& rng) {
-  const std::uint64_t transmissions_before = transmissions_;
-  kernel_.begin_round(0.0);  // kReference: always a sparse round
-  auto sink = kernel_.coalescing_sink();
-  const double laziness = options_.laziness;
-
-  kernel_.for_each_in_frontier([&](graph::VertexId u) {
-    const std::uint32_t fanout = draw_fanout(rng);
-    transmissions_ += fanout;
-    const auto nbrs = graph_->neighbors(u);
-    for (std::uint32_t j = 0; j < fanout; ++j) {
-      graph::VertexId dest;
-      if (laziness > 0.0 && rng.bernoulli(laziness)) {
-        dest = u;
-      } else if (nbrs.empty()) {
-        dest = u;  // single-vertex graph: every push stays put
-      } else {
-        dest = nbrs[static_cast<std::size_t>(rng.below(nbrs.size()))];
-      }
-      sink.emit(dest);
-    }
-  });
-
-  const std::uint32_t newly = kernel_.commit(FrontierKernel::Commit::kReplace);
-  if (StepMetrics* m = kernel_.metrics())
-    m->emissions += transmissions_ - transmissions_before;
-  ++round_;
-  return newly;
-}
-
-template <typename Sink>
-void CobraProcess::push_round(std::uint64_t round_key, Sink sink) {
+void CobraProcess::push_round(std::uint64_t round_key) {
   const Branching& branching = options_.branching;
   const NeighborSampler& sampler = kernel_.sampler();
+  auto sink = kernel_.coalescing_sink();
   kernel_.for_each_in_frontier([&](graph::VertexId u) {
     VertexDraws draws = kernel_.draws(round_key, u);
     std::uint32_t fanout = branching.base;
@@ -113,14 +71,18 @@ void CobraProcess::push_round_dense(std::uint64_t round_key) {
       });
 }
 
-std::uint32_t CobraProcess::step_fast(std::uint64_t round_key) {
+std::uint32_t CobraProcess::step(rng::Rng& rng) {
+  // One round key from the sequential stream; every per-vertex choice
+  // below is a pure function of (round_key, vertex), so the frontier
+  // representation cannot affect the outcome.
+  const std::uint64_t round_key = rng.next_u64();
   const std::uint64_t transmissions_before = transmissions_;
   const bool dense =
       kernel_.begin_round(kernel_.density_score(kernel_.frontier_size()));
   if (dense) {
     push_round_dense(round_key);
   } else {
-    push_round(round_key, kernel_.coalescing_sink());
+    push_round(round_key);
   }
   const std::uint32_t newly = kernel_.commit(FrontierKernel::Commit::kReplace);
   if (StepMetrics* m = kernel_.metrics())

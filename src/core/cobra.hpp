@@ -11,9 +11,10 @@
 // The per-round work runs on the process-agnostic frontier kernel
 // (core::FrontierKernel, core/frontier_kernel.hpp), which owns the
 // sparse/dense frontier representations, the coalescing rule, the
-// auto-switch and the visited accumulator. The engine (core::Engine)
-// selects the representation; COBRA's reference engine additionally keeps
-// the original sequential draw protocol. See docs/ARCHITECTURE.md
+// auto-switch and the visited accumulator. Every round consumes one
+// 64-bit round key and derives all per-vertex randomness from it, so the
+// engine (core::Engine) selects only the representation: every engine and
+// lane count gives the same bytes at a fixed seed. See docs/ARCHITECTURE.md
 // ("Frontier kernel") for the design and tests/test_cobra_engines.cpp for
 // the equivalence guarantees.
 #pragma once
@@ -51,16 +52,15 @@ class CobraProcess {
   void reset(std::span<const graph::VertexId> start);
 
   /// Executes one synchronised round. Returns the number of first-time
-  /// visits this round. The reference engine consumes the stream draw by
-  /// draw; the fast engines consume exactly one 64-bit round key per call
-  /// and derive all per-vertex randomness from it (frontier_kernel.hpp).
+  /// visits this round. Consumes exactly one 64-bit round key per call and
+  /// derives all per-vertex randomness from it (frontier_kernel.hpp).
   std::uint32_t step(rng::Rng& rng);
 
   /// Rounds executed since reset (t of C_t).
   [[nodiscard]] std::uint64_t round() const { return round_; }
 
   /// Current particle set C_t (duplicate-free). Order is engine-dependent:
-  /// arrival order under the reference/sparse engines, ascending vertex id
+  /// arrival order after sparse rounds, ascending vertex id
   /// when the dense frontier produced the round. Materialised lazily after
   /// dense rounds; prefer num_active() when only the size is needed.
   [[nodiscard]] const std::vector<graph::VertexId>& active() const {
@@ -127,22 +127,11 @@ class CobraProcess {
   }
 
  private:
-  /// Number of selections this vertex makes this round (base [+1]).
-  std::uint32_t draw_fanout(rng::Rng& rng) const {
-    const Branching& b = options_.branching;
-    return b.base + ((b.extra_prob > 0.0 && rng.bernoulli(b.extra_prob)) ? 1u
-                                                                         : 0u);
-  }
-
   /// Builds the kernel configuration for the resolved engine.
   FrontierKernel::Config kernel_config() const;
 
-  std::uint32_t step_reference(rng::Rng& rng);
-  std::uint32_t step_fast(std::uint64_t round_key);
-
-  /// One keyed sparse round over the frontier into `sink`.
-  template <typename Sink>
-  void push_round(std::uint64_t round_key, Sink sink);
+  /// One keyed sparse round over the frontier into the coalescing sink.
+  void push_round(std::uint64_t round_key);
 
   /// One keyed dense round through the kernel's lane-parallel frontier
   /// scan (serial at kernel_threads = 1, bit-identical at any setting).

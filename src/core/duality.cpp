@@ -128,7 +128,7 @@ DualityEstimate check_duality(const graph::Graph& g, graph::VertexId v,
     // (c) Independent BIPS estimate of P(C ∩ A_T = ∅ | A_0 = {v}).
     {
       rng::Rng rng = rng::make_stream(rng::derive_seed(seed, 3), rep);
-      BipsProcess process(g, v, BipsOptions{options, BipsKernel::kSampling});
+      BipsProcess process(g, v, BipsOptions{options});
       for (std::uint64_t t = 0; t < rounds; ++t) process.step(rng);
       bool intersects = false;
       for (const graph::VertexId c : c_set)

@@ -13,30 +13,14 @@ constexpr double kTimeoutSentinel = -1.0;
 
 // Resolves the stepping engine once per estimate and builds the
 // degree-bucketed alias tables a single time so every replicate (and
-// thread) shares them instead of rebuilding per process. COBRA's legacy
-// reference engine draws sequentially and needs no tables.
+// thread) shares them instead of rebuilding per process.
 ProcessOptions share_sampler(const graph::Graph& g,
                              const ProcessOptions& options) {
   ProcessOptions resolved = options;
   resolved.engine = resolve_engine(options.engine);
-  if (resolved.engine != Engine::kReference && resolved.sampler == nullptr)
+  if (resolved.sampler == nullptr)
     resolved.sampler =
         std::make_shared<const NeighborSampler>(g, resolved.laziness);
-  return resolved;
-}
-
-// BIPS counterpart: every engine of the sampling kernel consumes the
-// shared sampler (the keyed protocol covers reference too); the
-// probability kernel samples no destinations.
-BipsOptions share_bips_sampler(const graph::Graph& g,
-                               const BipsOptions& options) {
-  BipsOptions resolved = options;
-  resolved.process.engine = resolve_engine(options.process.engine);
-  if (resolved.kernel == BipsKernel::kSampling &&
-      resolved.process.sampler == nullptr) {
-    resolved.process.sampler = std::make_shared<const NeighborSampler>(
-        g, resolved.process.laziness);
-  }
   return resolved;
 }
 
@@ -105,7 +89,7 @@ TimeSamples estimate_bips_infection(const graph::Graph& g,
                                     std::uint64_t seed,
                                     std::uint64_t max_rounds) {
   COBRA_CHECK(replicates >= 1);
-  const BipsOptions shared = share_bips_sampler(g, options);
+  const BipsOptions shared{share_sampler(g, options.process)};
   std::vector<double> rounds(replicates, 0.0);
   sim::parallel_replicates(replicates, seed,
                            [&](std::uint64_t i, rng::Rng& rng) {
@@ -124,7 +108,7 @@ std::vector<double> average_bips_growth(const graph::Graph& g,
                                         std::uint64_t replicates,
                                         std::uint64_t seed) {
   COBRA_CHECK(replicates >= 1);
-  const BipsOptions shared = share_bips_sampler(g, options);
+  const BipsOptions shared{share_sampler(g, options.process)};
   std::vector<double> acc(rounds + 1, 0.0);
   std::vector<std::vector<double>> per_rep(replicates);
   sim::parallel_replicates(replicates, seed,

@@ -37,7 +37,6 @@ NeighborSampler::NeighborSampler(const graph::Graph& g, double laziness)
 const char* engine_name(Engine engine) {
   switch (engine) {
     case Engine::kDefault: return "default";
-    case Engine::kReference: return "reference";
     case Engine::kSparse: return "sparse";
     case Engine::kDense: return "dense";
     case Engine::kAuto: return "auto";
@@ -46,7 +45,6 @@ const char* engine_name(Engine engine) {
 }
 
 std::optional<Engine> parse_engine(std::string_view name) {
-  if (name == "reference") return Engine::kReference;
   if (name == "sparse") return Engine::kSparse;
   if (name == "dense") return Engine::kDense;
   if (name == "auto" || name == "fast") return Engine::kAuto;
@@ -59,7 +57,7 @@ Engine resolve_engine(Engine engine) {
   const auto parsed = parse_engine(session);
   COBRA_CHECK_MSG(parsed.has_value(),
                   "COBRA_ENGINE/--engine must be one of "
-                  "reference|sparse|dense|auto (got \"" +
+                  "sparse|dense|auto (got \"" +
                       session + "\")");
   return *parsed;
 }

@@ -18,8 +18,9 @@
 //     entity, k) through two rounds of the SplitMix64 finalizer — one
 //     protocol for every process and engine — so engines may process
 //     entities in any order, or any frontier representation, and still
-//     make identical random choices. This is what makes the engines of
-//     one process bit-for-bit equivalent at a fixed seed.
+//     make identical random choices. The rule has no exceptions: every
+//     process draws one round key per round, so at a fixed seed it gives
+//     identical bytes on every engine and lane count.
 //
 //   * FrontierKernel — the dual sparse/dense frontier state machine: a
 //     vector frontier with epoch-stamped O(1) membership, a bitset
@@ -43,9 +44,9 @@
 //   * CoalescingSink — deduplicates within the round via epoch stamps
 //     (COBRA's coalescing rule) and counts first visits;
 //   * GrowthSink     — deduplicates against the visited set (monotone
-//     processes: flooding layers, gossip);
-//   * PlainSink      — no deduplication; for processes that emit each
-//     vertex at most once per round by construction (BIPS).
+//     processes: flooding layers, gossip).
+// Processes that emit each vertex at most once per round by construction
+// (BIPS) append through plain_vertex_scan's lanes instead.
 //
 // In-round parallelism (docs/ARCHITECTURE.md, "Frontier kernel"): dense
 // rounds can fan their scans and the commit merge out over
@@ -211,17 +212,15 @@ class FrontierKernel {
   /// callers run core::resolve_engine first so the session default is
   /// applied exactly once).
   struct Config {
-    /// Resolved stepping engine (kReference behaves like kSparse at the
-    /// representation level: the kernel never picks a dense round for it).
-    /// kAuto switches to the dense frontier when begin_round's score
-    /// reaches 1 and back below 0.5 (2x hysteresis); processes compute the
-    /// score, typically via density_score().
+    /// Resolved stepping engine. kSparse never runs a dense round, kDense
+    /// always does, and kAuto switches to the dense frontier when
+    /// begin_round's score reaches 1 and back below 0.5 (2x hysteresis);
+    /// processes compute the score, typically via density_score().
     Engine engine = Engine::kAuto;
     /// Laziness the sampler is built with (when the kernel builds one).
     double laziness = 0.0;
     /// Build a NeighborSampler when none is shared. Processes that never
-    /// sample destinations (flooding) or draw sequentially (COBRA's legacy
-    /// reference engine) skip the construction cost.
+    /// sample destinations (flooding) skip the construction cost.
     bool build_sampler = true;
     /// Track the first-visit accumulator (visited set + count). BIPS turns
     /// this off: its infected set is not monotone and full infection is
@@ -373,7 +372,7 @@ class FrontierKernel {
   [[nodiscard]] double density_score(std::uint32_t count) const;
 
   /// Starts a round and returns true when it runs dense: always for
-  /// kDense, never for kReference/kSparse, and for kAuto when `score`
+  /// kDense, never for kSparse, and for kAuto when `score`
   /// reaches 1 (entry) or stays above 0.5 while already dense (the 2x
   /// hysteresis that prevents representation thrash). Prepares the
   /// matching next-frontier buffer; emit only into the matching sink
@@ -423,20 +422,6 @@ class FrontierKernel {
     FrontierKernel* k_;
   };
 
-  /// Sparse-round sink with no deduplication, for processes that emit each
-  /// vertex at most once per round by construction (BIPS iterates every
-  /// vertex exactly once).
-  class PlainSink {
-   public:
-    /// Adds v to the next frontier unconditionally.
-    void emit(graph::VertexId v) { k_->next_.push_back(v); }
-
-   private:
-    friend class FrontierKernel;
-    explicit PlainSink(FrontierKernel* k) : k_(k) {}
-    FrontierKernel* k_;
-  };
-
   /// Dense-round sink: sets the vertex's bit in the next-frontier bitset
   /// (idempotent — the bitset is the deduplication).
   class DenseSink {
@@ -458,9 +443,6 @@ class FrontierKernel {
 
   /// The growth sink for the in-flight sparse round.
   [[nodiscard]] GrowthSink growth_sink() { return GrowthSink(this); }
-
-  /// The plain sink for the in-flight sparse round.
-  [[nodiscard]] PlainSink plain_sink() { return PlainSink(this); }
 
   /// The dense sink for the in-flight dense round.
   [[nodiscard]] DenseSink dense_sink() { return DenseSink(this); }
@@ -533,7 +515,7 @@ class FrontierKernel {
 
   /// Per-lane emission context for plain_vertex_scan: emissions append to
   /// a lane-owned vector, concatenated in lane order after the join —
-  /// reproducing the serial PlainSink emission order exactly.
+  /// reproducing the serial ascending emission order exactly.
   class SparseLane : public Lane<std::vector<graph::VertexId>*> {
    public:
     /// Appends v to the lane's emission vector.
@@ -672,7 +654,7 @@ class FrontierKernel {
   /// emit each vertex at most once, in ascending order (the BIPS sampling
   /// round): lanes cover ascending index ranges and their emission vectors
   /// are concatenated in lane order into the next frontier, reproducing
-  /// the serial PlainSink order exactly. Returns the lane-ordered sum of
+  /// the serial ascending order exactly. Returns the lane-ordered sum of
   /// lane.user.
   template <typename Body>
   std::uint64_t plain_vertex_scan(Body&& body) {

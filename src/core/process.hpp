@@ -19,28 +19,23 @@ struct StepMetrics;     // core/metrics.hpp
 /// Stepping-engine selection for the frontier-kernel processes (see
 /// docs/ARCHITECTURE.md, "Frontier kernel").
 ///
-/// For the kernel-ported processes (BIPS and the baselines) every engine —
-/// including kReference — derives its per-vertex randomness from one
-/// 64-bit round key per round, so reference, sparse, dense and auto are
-/// bit-for-bit identical at a fixed seed; the engine only selects the
-/// frontier representation (vector vs bitset vs density-switched).
-///
-/// CobraProcess keeps one historical exception: its kReference engine is
-/// the original sequential loop that consumes the replicate's Rng stream
-/// draw by draw, preserved bitwise for continuity with pre-kernel
-/// archives. COBRA's fast engines (kSparse/kDense/kAuto) share the keyed
-/// protocol and are bit-for-bit identical to each other, but agree with
-/// COBRA's reference only in distribution.
+/// Every process (COBRA, BIPS and the baselines) derives its per-vertex
+/// randomness from one 64-bit round key per round, so sparse, dense and
+/// auto are bit-for-bit identical at a fixed seed, at every lane count;
+/// the engine only selects the frontier representation (vector vs bitset
+/// vs density-switched) and so the cost.
 enum class Engine : std::uint8_t {
-  kDefault,    ///< resolve from --engine / COBRA_ENGINE at construction
-  kReference,  ///< sequential-stream loop (the original implementation)
-  kSparse,     ///< fast path, vector frontier at every density
-  kDense,      ///< fast path, bitset frontier at every density
-  kAuto,       ///< fast path, sparse<->dense switch on frontier density
+  kDefault,  ///< resolve from --engine / COBRA_ENGINE at construction
+  kSparse,   ///< vector frontier at every density
+  kDense,    ///< bitset frontier at every density
+  kAuto,     ///< sparse<->dense switch on frontier density
+  /// Alias kept only because perfbench/replay.cpp names it; not a
+  /// separate engine, and parse_engine does not accept "reference".
+  kReference = kSparse,
 };
 
-/// Parses an engine name ("reference", "sparse", "dense", "auto"; "fast" is
-/// accepted as an alias for "auto"). Returns nullopt for anything else.
+/// Parses an engine name ("sparse", "dense", "auto"; "fast" is accepted as
+/// an alias for "auto"). Returns nullopt for anything else.
 std::optional<Engine> parse_engine(std::string_view name);
 
 /// Canonical name of an engine ("default" for Engine::kDefault).
@@ -113,9 +108,9 @@ struct ProcessOptions {
 
   /// Optional pre-built destination sampler, shared across replicates so
   /// the degree-bucketed alias tables are constructed once per graph
-  /// rather than once per CobraProcess. Must match the process's graph and
-  /// laziness; ignored by the reference engine. When null, fast engines
-  /// build their own.
+  /// rather than once per process. Must match the process's graph and
+  /// laziness. When null, a process that samples destinations builds
+  /// its own.
   std::shared_ptr<const NeighborSampler> sampler;
 
   /// Telemetry hook (core/metrics.hpp): when non-null, the process's

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "graph/builder.hpp"
+#include "graph/storage.hpp"
 #include "util/assert.hpp"
 
 namespace cobra::graph {
@@ -97,6 +98,18 @@ EdgeListHeader scan_edge_list(
                       context << " line " << line_number
                               << ": vertex count " << header.n
                               << " out of range [1, 2^32 - 1]");
+      // Both refusals come before on_header sizes anything by the header.
+      const std::uint64_t max_edges = header.n * (header.n - 1) / 2;
+      COBRA_CHECK_MSG(header.m <= max_edges,
+                      context << " line " << line_number << ": header claims "
+                              << header.m << " edges, more than the "
+                              << max_edges << " a simple graph on "
+                              << header.n << " vertices can have");
+      check_csr_fits(context + " line " + std::to_string(line_number) +
+                         ": header '" + std::to_string(header.n) + " " +
+                         std::to_string(header.m) + "'",
+                     static_cast<double>(header.n),
+                     static_cast<double>(header.m));
       have_header = true;
       if (on_header) on_header(header);
       continue;
@@ -121,10 +134,14 @@ EdgeListHeader scan_edge_list(
   return header;
 }
 
-Graph read_edge_list(std::istream& is, const std::string& name) {
+namespace {
+
+// Errors name `context` (the path, for files); the graph is named `name`.
+Graph build_edge_list(std::istream& is, const std::string& context,
+                      const std::string& name) {
   std::optional<GraphBuilder> builder;
   scan_edge_list(
-      is, name,
+      is, context,
       [&](const EdgeListHeader& header) {
         builder.emplace(static_cast<VertexId>(header.n));
         builder->reserve(header.m);
@@ -133,10 +150,17 @@ Graph read_edge_list(std::istream& is, const std::string& name) {
   return std::move(*builder).build(name);
 }
 
+}  // namespace
+
+Graph read_edge_list(std::istream& is, const std::string& name) {
+  return build_edge_list(is, name, name);
+}
+
 Graph read_edge_list_file(const std::string& path) {
   std::ifstream in(path);
   COBRA_CHECK_MSG(in.good(), "cannot open " << path << " for reading");
-  return read_edge_list(in, std::filesystem::path(path).stem().string());
+  return build_edge_list(in, path,
+                         std::filesystem::path(path).stem().string());
 }
 
 }  // namespace cobra::graph

@@ -31,7 +31,9 @@ struct EdgeListHeader {
 /// once per edge line, and returns the parsed header. Every malformed
 /// line — bad token, wrong field count, out-of-range endpoint, self-loop,
 /// edge count mismatch — throws util::CheckError naming `context` (path
-/// or stream label), the 1-based line number and the offending token.
+/// or stream label), the 1-based line number and the offending token. A
+/// header claiming more than n(n-1)/2 edges, or a CSR larger than physical
+/// memory (graph::check_csr_fits), is refused before `on_header` runs.
 EdgeListHeader scan_edge_list(
     std::istream& is, const std::string& context,
     const std::function<void(const EdgeListHeader&)>& on_header,
@@ -40,6 +42,7 @@ EdgeListHeader scan_edge_list(
 /// Parses the format above into a Graph. Throws util::CheckError with
 /// line-number context on malformed input.
 Graph read_edge_list(std::istream& is, const std::string& name = "loaded");
+/// As read_edge_list; errors name `path`, the graph is named by its stem.
 Graph read_edge_list_file(const std::string& path);
 
 }  // namespace cobra::graph

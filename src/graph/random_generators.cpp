@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -171,9 +172,11 @@ bool try_pairing(VertexId n, std::uint32_t r, rng::Rng& rng,
 /// Pairing attempt that keeps collisions, then repairs them with random
 /// edge switches: replace {(u,v) bad, (x,y) good} by {(u,x),(v,y)} when the
 /// result is simple. Terminates quickly because collisions are O(r^2) in
-/// expectation while good edges are ~ nr/2. Leaves each vertex's r
-/// partners in the partner table, as try_pairing does.
-void pairing_with_repair(VertexId n, std::uint32_t r, rng::Rng& rng,
+/// expectation while good edges are ~ nr/2 — unless r is close to n-1,
+/// where few switches stay simple: returns false when the guard trips.
+/// On success leaves each vertex's r partners in the partner table, as
+/// try_pairing does.
+bool pairing_with_repair(VertexId n, std::uint32_t r, rng::Rng& rng,
                          std::vector<VertexId>& stubs,
                          std::vector<VertexId>& partners,
                          std::vector<std::uint32_t>& count) {
@@ -204,9 +207,7 @@ void pairing_with_repair(VertexId n, std::uint32_t r, rng::Rng& rng,
       1000 + 200 * static_cast<std::uint64_t>(bad.size() + 1) *
                  static_cast<std::uint64_t>(r + 1);
   while (!bad.empty()) {
-    COBRA_CHECK_MSG(++guard < guard_limit,
-                    "random_regular repair failed to converge (n="
-                        << n << ", r=" << r << ")");
+    if (++guard >= guard_limit) return false;
     const std::size_t i = bad.back();
     const std::size_t j = static_cast<std::size_t>(rng.below(edges.size()));
     if (i == j) continue;
@@ -239,6 +240,7 @@ void pairing_with_repair(VertexId n, std::uint32_t r, rng::Rng& rng,
     partners[static_cast<std::size_t>(u) * r + count[u]++] = v;
     partners[static_cast<std::size_t>(v) * r + count[v]++] = u;
   }
+  return true;
 }
 
 }  // namespace
@@ -260,7 +262,30 @@ Graph random_regular(VertexId n, std::uint32_t r, rng::Rng& rng,
   bool simple = false;
   for (std::uint32_t attempt = 0; attempt < restarts && !simple; ++attempt)
     simple = try_pairing(n, r, rng, stubs, partners, count);
-  if (!simple) pairing_with_repair(n, r, rng, stubs, partners, count);
+  if (!simple && !pairing_with_repair(n, r, rng, stubs, partners, count)) {
+    COBRA_CHECK_MSG(2 * static_cast<std::uint64_t>(r) > n - 1,
+                    "random_regular repair failed to converge (n="
+                        << n << ", r=" << r << ")");
+    // The complement of a uniform (n-1-r)-regular graph is a uniform
+    // r-regular graph, and at n-1-r < n/2 its repair has room to switch.
+    const std::uint32_t co_r = n - 1 - r;
+    const Graph sparse =
+        co_r == 0 ? Graph{} : random_regular(n, co_r, rng, max_restarts);
+    std::size_t k = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      const auto skip =
+          co_r == 0 ? std::span<const VertexId>{} : sparse.neighbors(v);
+      auto next_skip = skip.begin();
+      for (VertexId w = 0; w < n; ++w) {
+        if (w == v) continue;
+        if (next_skip != skip.end() && *next_skip == w) {
+          ++next_skip;
+          continue;
+        }
+        partners[k++] = w;
+      }
+    }
+  }
 
   // Every vertex has exactly r partners: the partner table, each list
   // sorted, is the CSR adjacency.

@@ -31,6 +31,12 @@ Graph erdos_renyi_gnp(VertexId n, double p, rng::Rng& rng);
 /// (tests/test_graph_golden.cpp); skipping attempts known to fail (the
 /// success probability is ~ exp(-(r²-1)/4)) would change every instance
 /// and needs a generator-version bump with regenerated archives.
+///
+/// Near-complete degrees (r > (n-1)/2) can stall the repair, which then
+/// has too few good edges to switch with: when its guard trips, the
+/// result is the complement of a random (n-1-r)-regular graph drawn from
+/// the same stream (K_n when r = n-1). Instances the repair finishes are
+/// unaffected.
 Graph random_regular(VertexId n, std::uint32_t r, rng::Rng& rng,
                      std::uint32_t max_restarts = 64);
 

@@ -1,10 +1,7 @@
 #include "graph/spec.hpp"
 
-#include <unistd.h>
-
 #include <charconv>
 #include <filesystem>
-#include <iomanip>
 #include <map>
 #include <utility>
 
@@ -12,6 +9,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/random_generators.hpp"
+#include "graph/storage.hpp"
 #include "rng/stream.hpp"
 #include "util/annotations.hpp"
 #include "util/assert.hpp"
@@ -57,28 +55,6 @@ std::vector<std::string_view> split_underscores(std::string_view body) {
   return parts;
 }
 
-/// Refuses a family whose CSR arrays alone — 8 bytes per offset, n + 1 of
-/// them, and 4 bytes per neighbour id, two per edge — would exceed this
-/// machine's physical memory, before anything is allocated: an absurd
-/// spec fails here with its name and estimate, not later with an
-/// unlocated std::bad_alloc. Estimated in double, so the estimate itself
-/// cannot overflow.
-void check_csr_fits(const std::string& spec, double n, double m) {
-  const double bytes = 8.0 * (n + 1.0) + 4.0 * 2.0 * m;
-  const long pages = sysconf(_SC_PHYS_PAGES);
-  const long page_size = sysconf(_SC_PAGE_SIZE);
-  if (pages <= 0 || page_size <= 0) return;  // unknown: nothing to refuse
-  const double physical =
-      static_cast<double>(pages) * static_cast<double>(page_size);
-  COBRA_CHECK_MSG(bytes <= physical,
-                  "graph spec '" << spec << "' needs an estimated "
-                                 << std::fixed << std::setprecision(1)
-                                 << bytes / 1e9
-                                 << " GB for its CSR (8(n+1) + 8m bytes), "
-                                 << "more than the " << physical / 1e9
-                                 << " GB of physical memory here");
-}
-
 // One parse for both uses: `build = false` only validates the grammar and
 // parameter ranges (cell enumeration must stay cheap), `build = true`
 // additionally constructs the graph. Returns an empty Graph in validate
@@ -87,6 +63,7 @@ Graph parse_synthetic(const std::string& spec, bool build) {
   const auto parts = split_underscores(spec);
   const std::string_view family = parts[0];
   const auto arity = parts.size();
+  const std::string label = "graph spec '" + spec + "'";
 
   if (family == "petersen" && arity == 1)
     return build ? petersen() : Graph{};
@@ -96,7 +73,7 @@ Graph parse_synthetic(const std::string& spec, bool build) {
     COBRA_CHECK_MSG(n >= 2 && n <= 200000,
                     "graph spec '" << spec << "': complete_N needs "
                                    << "2 <= N <= 200000");
-    check_csr_fits(spec, static_cast<double>(n),
+    check_csr_fits(label, static_cast<double>(n),
                    static_cast<double>(n) * static_cast<double>(n - 1) / 2);
     return build ? complete(static_cast<VertexId>(n)) : Graph{};
   }
@@ -104,21 +81,21 @@ Graph parse_synthetic(const std::string& spec, bool build) {
     const std::uint64_t n = parse_number(parts[1], spec);
     COBRA_CHECK_MSG(n >= 3 && n <= 0xFFFFFFFEull,
                     "graph spec '" << spec << "': cycle_N needs N >= 3");
-    check_csr_fits(spec, static_cast<double>(n), static_cast<double>(n));
+    check_csr_fits(label, static_cast<double>(n), static_cast<double>(n));
     return build ? cycle(static_cast<VertexId>(n)) : Graph{};
   }
   if (family == "path" && arity == 2) {
     const std::uint64_t n = parse_number(parts[1], spec);
     COBRA_CHECK_MSG(n >= 2 && n <= 0xFFFFFFFEull,
                     "graph spec '" << spec << "': path_N needs N >= 2");
-    check_csr_fits(spec, static_cast<double>(n), static_cast<double>(n - 1));
+    check_csr_fits(label, static_cast<double>(n), static_cast<double>(n - 1));
     return build ? path(static_cast<VertexId>(n)) : Graph{};
   }
   if (family == "star" && arity == 2) {
     const std::uint64_t n = parse_number(parts[1], spec);
     COBRA_CHECK_MSG(n >= 2 && n <= 0xFFFFFFFEull,
                     "graph spec '" << spec << "': star_N needs N >= 2");
-    check_csr_fits(spec, static_cast<double>(n), static_cast<double>(n - 1));
+    check_csr_fits(label, static_cast<double>(n), static_cast<double>(n - 1));
     return build ? star(static_cast<VertexId>(n)) : Graph{};
   }
   if (family == "hypercube" && arity == 2) {
@@ -127,7 +104,7 @@ Graph parse_synthetic(const std::string& spec, bool build) {
                     "graph spec '" << spec << "': hypercube_D needs "
                                    << "1 <= D <= 30");
     const double cube = static_cast<double>(std::uint64_t{1} << d);
-    check_csr_fits(spec, cube, static_cast<double>(d) * cube / 2);
+    check_csr_fits(label, cube, static_cast<double>(d) * cube / 2);
     return build ? hypercube(static_cast<std::uint32_t>(d)) : Graph{};
   }
   if (family == "torus" && arity == 3 && parts[2].size() >= 2 &&
@@ -140,7 +117,7 @@ Graph parse_synthetic(const std::string& spec, bool build) {
     // S >= 3: every vertex has 2D distinct neighbours.
     double cells = 1.0;
     for (std::uint64_t i = 0; i < dim; ++i) cells *= static_cast<double>(side);
-    check_csr_fits(spec, cells, static_cast<double>(dim) * cells);
+    check_csr_fits(label, cells, static_cast<double>(dim) * cells);
     return build ? torus_power(static_cast<VertexId>(side),
                                static_cast<std::uint32_t>(dim))
                  : Graph{};
@@ -153,7 +130,7 @@ Graph parse_synthetic(const std::string& spec, bool build) {
                         (n * r) % 2 == 0,
                     "graph spec '" << spec << "': regular_N_rR needs "
                                    << "N >= 4, 3 <= R < N, N*R even");
-    check_csr_fits(spec, static_cast<double>(n),
+    check_csr_fits(label, static_cast<double>(n),
                    static_cast<double>(n) * static_cast<double>(r) / 2);
     if (!build) return Graph{};
     rng::Rng grng =

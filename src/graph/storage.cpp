@@ -7,11 +7,27 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iomanip>
 #include <utility>
 
 #include "util/assert.hpp"
 
 namespace cobra::graph {
+
+void check_csr_fits(const std::string& what, double n, double m) {
+  const double bytes = 8.0 * (n + 1.0) + 4.0 * 2.0 * m;
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGE_SIZE);
+  if (pages <= 0 || page_size <= 0) return;  // unknown: nothing to refuse
+  const double physical =
+      static_cast<double>(pages) * static_cast<double>(page_size);
+  COBRA_CHECK_MSG(bytes <= physical,
+                  what << " needs an estimated " << std::fixed
+                       << std::setprecision(1) << bytes / 1e9
+                       << " GB for its CSR (8(n+1) + 8m bytes), "
+                       << "more than the " << physical / 1e9
+                       << " GB of physical memory here");
+}
 
 MappedFile MappedFile::open_read(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);

@@ -30,6 +30,15 @@ namespace cobra::graph {
 
 using VertexId = std::uint32_t;
 
+/// Refuses a graph whose CSR arrays alone — 8 bytes per offset, n + 1 of
+/// them, and 4 bytes per neighbour id, two per edge — would exceed this
+/// machine's physical memory, before anything is allocated: an absurd
+/// spec or edge-list header fails with `what` (the spec, or path and
+/// line) and the estimate, not later with an unlocated std::bad_alloc.
+/// Estimated in double, so the estimate itself cannot overflow. Throws
+/// util::CheckError.
+void check_csr_fits(const std::string& what, double n, double m);
+
 /// Immutable home of a graph's CSR arrays. Implementations guarantee the
 /// spans stay valid and constant for the storage object's lifetime.
 class CsrStorage {

@@ -45,10 +45,10 @@ struct JournalHeader {
   int shard_count = 1;        ///< shard count k
   std::uint64_t seed = 0;     ///< util::global_seed() of the run
   double scale = 1.0;         ///< util::scale() of the run
-  /// util::engine() of the run — sparse/dense/auto archives are
-  /// byte-identical to each other but not to reference archives (the COBRA
-  /// reference engine keeps the legacy draw protocol), so a resume or
-  /// merge across engine settings is refused like a seed mismatch.
+  /// util::engine() of the run. Every engine gives byte-identical
+  /// results, but the engine sets the wall-time regime (cost-model
+  /// balancing reads journaled wall times), so a resume or merge across
+  /// engine settings is refused like a seed mismatch.
   std::string engine = "auto";
   /// util::kernel_threads() of the run — in-round frontier-kernel lanes.
   /// Results are bit-identical at every setting, but the value is still

@@ -97,7 +97,7 @@ std::optional<std::string> parse_args(const std::vector<std::string>& args,
       const auto value = take_value();
       const auto parsed = value ? core::parse_engine(*value) : std::nullopt;
       if (!parsed)
-        return "--engine expects one of reference|sparse|dense|auto";
+        return "--engine expects one of sparse|dense|auto";
       // Canonical name: "--engine fast" journals as "auto", so a resume
       // under either spelling matches.
       options.engine = core::engine_name(*parsed);
@@ -241,12 +241,11 @@ Options (each flag overrides its COBRA_* environment variable):
                    out over L lanes; results are bit-identical at every L
                    (orthogonal to --threads: worst case spawns T x L threads)
   --engine E       frontier-kernel engine         (env COBRA_ENGINE, default auto)
-                   reference — plain sparse loop (COBRA: legacy sequential draws)
                    sparse    — counter-based draws, vector frontier
                    dense     — counter-based draws, bitset frontier
                    auto      — sparse<->dense switch on frontier density
-                   (engines agree bit for bit per process; COBRA's reference
-                   agrees in distribution — see docs/ARCHITECTURE.md)
+                   (every engine gives the same bytes for every process —
+                   see docs/ARCHITECTURE.md)
   --graphs LIST    comma-separated graph specs    (env COBRA_GRAPHS)
                    for spec-driven experiments (`workload`):
                    complete_N cycle_N path_N star_N hypercube_D torus_S_dD

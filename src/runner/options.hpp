@@ -24,7 +24,7 @@ struct RunnerOptions {
   /// --threads, which caps the Monte-Carlo replicate fan-out.
   std::optional<int> kernel_threads;
   /// --engine: COBRA stepping engine (core::Engine) for every process the
-  /// selected experiments construct: reference|sparse|dense|auto
+  /// selected experiments construct: sparse|dense|auto
   /// (validated at parse time; "fast" is an alias for auto).
   std::optional<std::string> engine;
   /// --graphs: COBRA_GRAPHS override — comma-separated graph specs

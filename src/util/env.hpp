@@ -8,7 +8,7 @@
 //   COBRA_SEED     — global base seed for experiments; default 20170724
 //                    (the paper's presentation date at SPAA'17).
 //   COBRA_ENGINE   — default stepping engine for processes built with
-//                    Engine::kDefault: reference|sparse|dense|auto;
+//                    Engine::kDefault: sparse|dense|auto;
 //                    default "auto" (the fast density-switched frontier).
 //   COBRA_GRAPHS   — comma-separated graph specs (graph/spec.hpp grammar,
 //                    incl. file:PATH for ingested .cgr graphs) consumed by

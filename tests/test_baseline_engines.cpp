@@ -23,8 +23,7 @@ namespace cobra::baselines {
 namespace {
 
 constexpr core::Engine kAllEngines[] = {
-    core::Engine::kReference, core::Engine::kSparse, core::Engine::kDense,
-    core::Engine::kAuto};
+    core::Engine::kSparse, core::Engine::kDense, core::Engine::kAuto};
 
 std::vector<graph::Graph> fixture_graphs() {
   rng::Rng gen = rng::make_stream(4004, 999);
@@ -53,7 +52,7 @@ TEST(BaselineEngines, PushGossipBitForBitAcrossEngines) {
       results[e] = {r.rounds, r.transmissions};
     }
     for (const core::Engine e : kAllEngines)
-      EXPECT_EQ(results[core::Engine::kReference], results[e])
+      EXPECT_EQ(results[core::Engine::kSparse], results[e])
           << g.name() << "/" << core::engine_name(e);
   }
 }
@@ -69,7 +68,7 @@ TEST(BaselineEngines, PullGossipBitForBitAcrossEngines) {
       results[e] = {r.rounds, r.transmissions};
     }
     for (const core::Engine e : kAllEngines)
-      EXPECT_EQ(results[core::Engine::kReference], results[e])
+      EXPECT_EQ(results[core::Engine::kSparse], results[e])
           << g.name() << "/" << core::engine_name(e);
   }
 }
@@ -85,7 +84,7 @@ TEST(BaselineEngines, PushPullGossipBitForBitAcrossEngines) {
       results[e] = {r.rounds, r.transmissions};
     }
     for (const core::Engine e : kAllEngines)
-      EXPECT_EQ(results[core::Engine::kReference], results[e])
+      EXPECT_EQ(results[core::Engine::kSparse], results[e])
           << g.name() << "/" << core::engine_name(e);
   }
 }
@@ -100,7 +99,7 @@ TEST(BaselineEngines, FloodingIdenticalAcrossEnginesAndMatchesEccentricity) {
       results[e] = {r.rounds, r.transmissions};
     }
     for (const core::Engine e : kAllEngines)
-      EXPECT_EQ(results[core::Engine::kReference], results[e])
+      EXPECT_EQ(results[core::Engine::kSparse], results[e])
           << g.name() << "/" << core::engine_name(e);
   }
   // Sanity anchor: on the path from one end, flooding takes n-1 rounds.
@@ -122,8 +121,8 @@ TEST(BaselineEngines, WalksIdenticalAcrossEngines) {
           multi_walk_cover(g, 0, 8, rng2, 1u << 22, engine_options(e)).rounds;
     }
     for (const core::Engine e : kAllEngines) {
-      EXPECT_EQ(walk[core::Engine::kReference], walk[e]) << g.name();
-      EXPECT_EQ(multi[core::Engine::kReference], multi[e]) << g.name();
+      EXPECT_EQ(walk[core::Engine::kSparse], walk[e]) << g.name();
+      EXPECT_EQ(multi[core::Engine::kSparse], multi[e]) << g.name();
     }
   }
 }
@@ -148,9 +147,9 @@ TEST(BaselineEngines, GossipPerRoundSizeSequencesIdenticalAcrossEngines) {
         pull[e] = {gl.rounds, gl.transmissions};
       }
       for (const core::Engine e : kAllEngines) {
-        EXPECT_EQ(push[core::Engine::kReference], push[e])
+        EXPECT_EQ(push[core::Engine::kSparse], push[e])
             << g.name() << " horizon " << k;
-        EXPECT_EQ(pull[core::Engine::kReference], pull[e])
+        EXPECT_EQ(pull[core::Engine::kSparse], pull[e])
             << g.name() << " horizon " << k;
       }
     }

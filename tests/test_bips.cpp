@@ -73,31 +73,6 @@ TEST(Bips, InfectedListMatchesMembership) {
   }
 }
 
-TEST(Bips, KernelsAgreeOnMeanInfectionTime) {
-  const graph::Graph g = graph::petersen();
-  constexpr int kReps = 400;
-  std::vector<double> sampling, probability;
-  for (int rep = 0; rep < kReps; ++rep) {
-    {
-      auto rng = rng::make_stream(555, static_cast<std::uint64_t>(rep));
-      BipsProcess p(g, 0, BipsOptions{{}, BipsKernel::kSampling});
-      sampling.push_back(static_cast<double>(*p.run_until_full(rng, 10000)));
-    }
-    {
-      auto rng = rng::make_stream(556, static_cast<std::uint64_t>(rep));
-      BipsProcess p(g, 0, BipsOptions{{}, BipsKernel::kProbability});
-      probability.push_back(
-          static_cast<double>(*p.run_until_full(rng, 10000)));
-    }
-  }
-  const double m1 = sim::mean(sampling);
-  const double m2 = sim::mean(probability);
-  const double se = std::sqrt(sim::variance(sampling) / kReps +
-                              sim::variance(probability) / kReps);
-  EXPECT_LT(std::fabs(m1 - m2), 5 * se)
-      << "sampling " << m1 << " vs probability " << m2;
-}
-
 TEST(Bips, CandidateSetNeverEmptyBeforeCompletion) {
   // Paper Section 3: C_t is never empty while d(A_t) < 2m.
   const graph::Graph g = graph::lollipop(5, 4);

@@ -1,9 +1,8 @@
 // Engine-equivalence guarantees of the BIPS port onto the frontier kernel
 // (core/frontier_kernel.hpp), mirroring tests/test_cobra_engines.cpp:
-//   * reference, sparse, dense and auto are bit-for-bit identical at a
-//     fixed seed — the keyed draw protocol covers every engine, so the
-//     representation (plain scan vs boundary-marked bitset) cannot change
-//     the trajectory;
+//   * sparse, dense and auto are bit-for-bit identical at a fixed seed —
+//     the keyed draw protocol covers every engine, so the representation
+//     (plain scan vs boundary-marked bitset) cannot change the trajectory;
 //   * golden-seed first-infection sequences agree across engines on path,
 //     cycle, hypercube and random-regular fixtures;
 //   * the dense boundary-marking round skips exactly the determined
@@ -25,8 +24,8 @@
 namespace cobra::core {
 namespace {
 
-constexpr Engine kAllEngines[] = {Engine::kReference, Engine::kSparse,
-                                  Engine::kDense, Engine::kAuto};
+constexpr Engine kAllEngines[] = {Engine::kSparse, Engine::kDense,
+                                  Engine::kAuto};
 
 rng::Rng test_rng(std::uint64_t salt) { return rng::make_stream(3003, salt); }
 
@@ -53,8 +52,7 @@ BipsOptions engine_options(Engine e) {
 }
 
 /// Steps `a` and `b` in lockstep on identically seeded streams and asserts
-/// every observable agrees each round: the bit-for-bit claim, which for
-/// the kernel-ported BIPS includes the reference engine.
+/// every observable agrees each round: the bit-for-bit claim.
 void expect_lockstep_identical(BipsProcess& a, BipsProcess& b,
                                std::uint64_t seed, int max_rounds) {
   rng::Rng rng_a = rng::make_stream(seed, 0);
@@ -76,12 +74,11 @@ void expect_lockstep_identical(BipsProcess& a, BipsProcess& b,
 
 TEST(BipsEngines, AllEnginesBitForBitOnFixtures) {
   for (const graph::Graph& g : fixture_graphs()) {
-    for (const Engine other : {Engine::kSparse, Engine::kDense,
-                               Engine::kAuto}) {
-      BipsProcess reference(g, 0, engine_options(Engine::kReference));
+    for (const Engine other : {Engine::kDense, Engine::kAuto}) {
+      BipsProcess sparse(g, 0, engine_options(Engine::kSparse));
       BipsProcess candidate(g, 0, engine_options(other));
-      expect_lockstep_identical(reference, candidate,
-                                8000 + g.num_vertices(), 20000);
+      expect_lockstep_identical(sparse, candidate, 8000 + g.num_vertices(),
+                                20000);
     }
   }
 }
@@ -89,15 +86,15 @@ TEST(BipsEngines, AllEnginesBitForBitOnFixtures) {
 TEST(BipsEngines, BitForBitWithLazinessAndBernoulliBranching) {
   const graph::Graph g = graph::hypercube(6);
   for (double laziness : {0.0, 0.5}) {
-    BipsOptions ref_opt;
-    ref_opt.process.engine = Engine::kReference;
-    ref_opt.process.laziness = laziness;
-    ref_opt.process.branching = Branching::one_plus_rho(0.3);
-    BipsOptions dense_opt = ref_opt;
+    BipsOptions sparse_opt;
+    sparse_opt.process.engine = Engine::kSparse;
+    sparse_opt.process.laziness = laziness;
+    sparse_opt.process.branching = Branching::one_plus_rho(0.3);
+    BipsOptions dense_opt = sparse_opt;
     dense_opt.process.engine = Engine::kDense;
-    BipsProcess reference(g, 0, ref_opt);
+    BipsProcess sparse(g, 0, sparse_opt);
     BipsProcess dense(g, 0, dense_opt);
-    expect_lockstep_identical(reference, dense, 77, 20000);
+    expect_lockstep_identical(sparse, dense, 77, 20000);
   }
 }
 
@@ -119,8 +116,8 @@ TEST(BipsEngines, FirstInfectionRoundsIdenticalAcrossEngines) {
     }
     first_infected[e] = std::move(rounds);
   }
-  for (const Engine e : {Engine::kSparse, Engine::kDense, Engine::kAuto})
-    EXPECT_EQ(first_infected[Engine::kReference], first_infected[e]);
+  for (const Engine e : {Engine::kDense, Engine::kAuto})
+    EXPECT_EQ(first_infected[Engine::kSparse], first_infected[e]);
 }
 
 TEST(BipsEngines, InfectionTimesIdenticalAcrossEnginesOnRandomRegular) {
@@ -138,8 +135,8 @@ TEST(BipsEngines, InfectionTimesIdenticalAcrossEnginesOnRandomRegular) {
       times[e].push_back(*full);
     }
   }
-  for (const Engine e : {Engine::kSparse, Engine::kDense, Engine::kAuto})
-    EXPECT_EQ(times[Engine::kReference], times[e]);
+  for (const Engine e : {Engine::kDense, Engine::kAuto})
+    EXPECT_EQ(times[Engine::kSparse], times[e]);
 }
 
 TEST(BipsEngines, MultiSourceBitForBitAcrossEngines) {
@@ -153,8 +150,8 @@ TEST(BipsEngines, MultiSourceBitForBitAcrossEngines) {
     for (int t = 0; t < 6; ++t) p.step(rng);
     after[e] = sorted_infected(p);
   }
-  for (const Engine e : {Engine::kSparse, Engine::kDense, Engine::kAuto})
-    EXPECT_EQ(after[Engine::kReference], after[e]);
+  for (const Engine e : {Engine::kDense, Engine::kAuto})
+    EXPECT_EQ(after[Engine::kSparse], after[e]);
 }
 
 TEST(BipsEngines, AutoRunsDenseAtBothDensityExtremes) {
@@ -210,24 +207,6 @@ TEST(BipsEngines, SharedSamplerMustMatchGraphAndLaziness) {
   lazy.process.laziness = 0.5;
   lazy.process.sampler = std::make_shared<const NeighborSampler>(g, 0.25);
   EXPECT_THROW(BipsProcess(g, 0, lazy), util::CheckError);
-}
-
-TEST(BipsEngines, ProbabilityKernelIsEngineIndependent) {
-  // The probability kernel's scan is edge-driven; every engine must run
-  // the identical keyed Bernoulli pass.
-  const graph::Graph g = graph::petersen();
-  std::map<Engine, std::vector<graph::VertexId>> after;
-  for (const Engine e : kAllEngines) {
-    BipsOptions opt = engine_options(e);
-    opt.kernel = BipsKernel::kProbability;
-    BipsProcess p(g, 0, opt);
-    rng::Rng rng = rng::make_stream(404, 0);
-    for (int t = 0; t < 8; ++t) p.step(rng);
-    after[e] = sorted_infected(p);
-    EXPECT_EQ(p.dense_rounds(), 0u);
-  }
-  for (const Engine e : {Engine::kSparse, Engine::kDense, Engine::kAuto})
-    EXPECT_EQ(after[Engine::kReference], after[e]);
 }
 
 }  // namespace

@@ -3,8 +3,7 @@
 //   * sparse, dense and auto are bit-for-bit identical at a fixed seed —
 //     same visit sequence, same frontier sets, same counters — because all
 //     per-vertex randomness is a pure function of (round key, vertex);
-//   * the reference engine agrees with them in distribution (checked by
-//     the shared invariants, not draw by draw);
+//   * only sparse|dense|auto (and the alias fast) parse as engine names;
 //   * the degree-bucketed alias sampler reproduces the push-destination
 //     distribution, including laziness.
 #include <gtest/gtest.h>
@@ -13,6 +12,7 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/cobra.hpp"
@@ -170,12 +170,10 @@ TEST(CobraEngines, AutoSwitchesToDenseOnceFrontierSaturates) {
   EXPECT_EQ(forced.dense_rounds(), 0u);
 }
 
-TEST(CobraEngines, ReferenceEngineMatchesFastInDistributionBounds) {
-  // Not bit-for-bit (different draw protocols) — but the structural
-  // invariants must hold on every engine.
+TEST(CobraEngines, EveryEngineKeepsDoublingAndLogBounds) {
+  // The structural invariants must hold on every engine.
   const graph::Graph g = graph::complete(64);
-  for (const Engine e :
-       {Engine::kReference, Engine::kSparse, Engine::kDense, Engine::kAuto}) {
+  for (const Engine e : {Engine::kSparse, Engine::kDense, Engine::kAuto}) {
     ProcessOptions opt;
     opt.engine = e;
     CobraProcess p(g, opt);
@@ -211,8 +209,7 @@ TEST(CobraEngines, ActiveVectorMatchesBitsetViewAfterDenseRounds) {
 TEST(CobraEngines, SingleVertexGraphCoversAtRoundZeroOnEveryEngine) {
   graph::GraphBuilder b(1);
   const graph::Graph g = std::move(b).build();
-  for (const Engine e :
-       {Engine::kReference, Engine::kSparse, Engine::kDense, Engine::kAuto}) {
+  for (const Engine e : {Engine::kSparse, Engine::kDense, Engine::kAuto}) {
     ProcessOptions opt;
     opt.engine = e;
     CobraProcess p(g, opt);
@@ -260,14 +257,23 @@ TEST(CobraEngines, DefaultEngineResolvesFromSession) {
   const graph::Graph g = graph::cycle(8);
   util::clear_env_overrides();
   EXPECT_EQ(CobraProcess(g).engine(), Engine::kAuto);  // session default
-  util::set_engine_override("reference");
-  EXPECT_EQ(CobraProcess(g).engine(), Engine::kReference);
   util::set_engine_override("dense");
   EXPECT_EQ(CobraProcess(g).engine(), Engine::kDense);
   util::set_engine_override("fast");
   EXPECT_EQ(CobraProcess(g).engine(), Engine::kAuto);
-  util::set_engine_override("bogus");
-  EXPECT_THROW(CobraProcess{g}, util::CheckError);
+  // The retired sequential engine's name fails loudly rather than
+  // silently selecting another protocol.
+  for (const char* bad : {"bogus", "reference"}) {
+    util::set_engine_override(bad);
+    try {
+      CobraProcess{g};
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("sparse|dense|auto"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   util::clear_env_overrides();
   // Explicit options always win over the session setting.
   util::set_engine_override("dense");
@@ -278,8 +284,7 @@ TEST(CobraEngines, DefaultEngineResolvesFromSession) {
 }
 
 TEST(CobraEngines, ParseAndNameRoundTrip) {
-  for (const Engine e :
-       {Engine::kReference, Engine::kSparse, Engine::kDense, Engine::kAuto}) {
+  for (const Engine e : {Engine::kSparse, Engine::kDense, Engine::kAuto}) {
     const auto parsed = parse_engine(engine_name(e));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, e);
@@ -287,6 +292,7 @@ TEST(CobraEngines, ParseAndNameRoundTrip) {
   EXPECT_EQ(parse_engine("fast"), Engine::kAuto);
   EXPECT_FALSE(parse_engine("default").has_value());
   EXPECT_FALSE(parse_engine("").has_value());
+  EXPECT_FALSE(parse_engine("reference").has_value());
   EXPECT_FALSE(parse_engine("Reference").has_value());
 }
 

@@ -58,7 +58,7 @@ TEST(CrossValidation, LazyBipsMatchesExactDp) {
   int full = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     auto rng = rng::make_stream(883, static_cast<std::uint64_t>(rep));
-    BipsProcess p(g, 0, BipsOptions{opt, BipsKernel::kSampling});
+    BipsProcess p(g, 0, BipsOptions{opt});
     for (std::uint64_t t = 0; t < T; ++t) p.step(rng);
     if (p.fully_infected()) ++full;
   }
@@ -68,7 +68,7 @@ TEST(CrossValidation, LazyBipsMatchesExactDp) {
       << "exact " << exact << " ci [" << ci.low << ", " << ci.high << "]";
 }
 
-TEST(CrossValidation, RhoBipsProbabilityKernelMatchesExactDp) {
+TEST(CrossValidation, RhoBipsMatchesExactDp) {
   const graph::Graph g = graph::petersen();
   ProcessOptions opt;
   opt.branching = Branching::one_plus_rho(0.5);
@@ -79,7 +79,7 @@ TEST(CrossValidation, RhoBipsProbabilityKernelMatchesExactDp) {
   int full = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     auto rng = rng::make_stream(884, static_cast<std::uint64_t>(rep));
-    BipsProcess p(g, 0, BipsOptions{opt, BipsKernel::kProbability});
+    BipsProcess p(g, 0, BipsOptions{opt});
     for (std::uint64_t t = 0; t < T; ++t) p.step(rng);
     if (p.fully_infected()) ++full;
   }

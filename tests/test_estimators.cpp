@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "graph/generators.hpp"
-#include "sim/stats.hpp"
 
 namespace cobra::core {
 namespace {
@@ -65,17 +62,6 @@ TEST(Estimators, BipsInfectionCompletes) {
                                                100000);
   EXPECT_EQ(samples.timeouts, 0u);
   for (const double r : samples.rounds) EXPECT_GE(r, 1.0);
-}
-
-TEST(Estimators, BipsKernelsGiveSameLawDifferentSamples) {
-  const graph::Graph g = graph::cycle(12);
-  BipsOptions sampling{{}, BipsKernel::kSampling};
-  BipsOptions probability{{}, BipsKernel::kProbability};
-  const auto a = estimate_bips_infection(g, sampling, 0, 200, 48, 100000);
-  const auto b = estimate_bips_infection(g, probability, 0, 200, 48, 100000);
-  const double se = std::sqrt(sim::variance(a.rounds) / 200 +
-                              sim::variance(b.rounds) / 200);
-  EXPECT_LT(std::fabs(sim::mean(a.rounds) - sim::mean(b.rounds)), 5 * se);
 }
 
 TEST(Estimators, GrowthCurveStartsAtOneAndReachesN) {

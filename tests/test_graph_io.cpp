@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "graph/binary_io.hpp"
 #include "graph/generators.hpp"
+#include "graph/spec.hpp"
 #include "util/assert.hpp"
 
 namespace cobra::graph {
@@ -71,6 +77,49 @@ TEST(GraphIo, RejectsSelfLoop) {
 TEST(GraphIo, MissingFileThrows) {
   EXPECT_THROW(read_edge_list_file("definitely_not_here.edges"),
                util::CheckError);
+}
+
+/// Writes `text` to `path`, loads it through the text-spec path
+/// (file:PATH) and the .cgr ingest path, and expects each to throw a
+/// CheckError containing every string of `needles`.
+void expect_located_refusal(const std::string& path, const std::string& text,
+                            const std::vector<std::string>& needles) {
+  std::ofstream(path) << text;
+  const std::function<void()> loads[] = {
+      [&] { (void)build_graph_spec("file:" + path); },
+      [&] { (void)ingest_edge_list_file(path, path + ".cgr"); },
+  };
+  for (const auto& load : loads) {
+    try {
+      load();
+      ADD_FAILURE() << path << " was accepted";
+    } catch (const util::CheckError& e) {
+      const std::string what = e.what();
+      for (const std::string& needle : needles)
+        EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".cgr").c_str());
+}
+
+TEST(GraphIo, HeaderClaimingMoreThanSimpleGraphEdgesIsLocated) {
+  // Refused at the header, before a builder or degree array is sized by
+  // the claimed m.
+  expect_located_refusal("test_io_absurd_m.edges",
+                         "# claims K_4 a trillion times over\n"
+                         "4 1000000000000\n0 1\n",
+                         {"test_io_absurd_m.edges line 2",
+                          "1000000000000 edges", "more than the 6"});
+}
+
+TEST(GraphIo, HeaderBeyondPhysicalMemoryIsLocated) {
+  // 8(n+1) + 8m bytes for n = 2^32 - 1, m = 10^15: 8 PB.
+  expect_located_refusal("test_io_huge.edges",
+                         "4294967295 1000000000000000\n0 1\n",
+                         {"test_io_huge.edges line 1",
+                          "'4294967295 1000000000000000'",
+                          "physical memory"});
 }
 
 }  // namespace

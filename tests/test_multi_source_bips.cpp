@@ -84,16 +84,17 @@ TEST(MultiSourceBips, CandidateSetIncludesAllExposedSources) {
 }
 
 TEST(MultiSourceBips, BothKernelsSupportMultiSource) {
+  // Both frontier-kernel representations: the vector scan and the
+  // boundary-marked bitset.
   const graph::Graph g = graph::torus_power(5, 2);
   const std::vector<graph::VertexId> sources = {0, 12};
-  for (const auto kernel :
-       {BipsKernel::kSampling, BipsKernel::kProbability}) {
+  for (const Engine engine : {Engine::kSparse, Engine::kDense}) {
     BipsOptions opt;
-    opt.kernel = kernel;
+    opt.process.engine = engine;
     BipsProcess p(g, 0, opt);
     p.reset(std::span<const graph::VertexId>(sources.data(),
                                              sources.size()));
-    auto rng = rng::make_stream(615, kernel == BipsKernel::kSampling ? 0 : 1);
+    auto rng = rng::make_stream(615, engine == Engine::kSparse ? 0 : 1);
     const auto t = p.run_until_full(rng, 100000);
     ASSERT_TRUE(t.has_value());
     p.step(rng);

@@ -96,8 +96,6 @@ TEST_P(ProcessProperties, BipsInvariants) {
   const graph::Graph g = family_graph(family);
   BipsOptions opt;
   opt.process = branching_case(option);
-  opt.kernel = (family % 2 == 0) ? BipsKernel::kSampling
-                                 : BipsKernel::kProbability;
 
   // The plain process can fail to absorb quickly on bipartite graphs
   // (lambda = 1): that is exactly the paper's laziness remark. Use lazy

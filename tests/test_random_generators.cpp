@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <utility>
 
 #include "graph/algorithms.hpp"
+#include "graph/generators.hpp"
 #include "rng/stream.hpp"
 #include "util/assert.hpp"
 
@@ -73,6 +77,33 @@ TEST(RandomRegular, LargeDegreeUsesRepairPath) {
   const Graph g = random_regular(200, 24, rng);
   EXPECT_TRUE(g.is_regular());
   EXPECT_EQ(g.max_degree(), 24u);
+}
+
+TEST(RandomRegular, NearCompleteDegreesBuild) {
+  // The switch repair stalls this close to K_n, so these take the
+  // complement of a random (n-1-r)-regular graph.
+  const std::pair<VertexId, std::uint32_t> rows[] = {
+      {10, 9}, {16, 15}, {33, 30}, {40, 38}};
+  for (const auto& [n, r] : rows) {
+    auto rng1 = test_rng(16);
+    auto rng2 = test_rng(16);
+    const Graph g = random_regular(n, r, rng1);
+    EXPECT_TRUE(g.is_regular()) << "n=" << n << " r=" << r;
+    EXPECT_EQ(g.max_degree(), r) << "n=" << n << " r=" << r;
+    EXPECT_EQ(g.num_edges(), static_cast<std::uint64_t>(n) * r / 2);
+    for (VertexId u = 0; u < n; ++u) {
+      const auto nbrs = g.neighbors(u);
+      EXPECT_TRUE(std::adjacent_find(nbrs.begin(), nbrs.end(),
+                                     std::greater_equal<>()) == nbrs.end())
+          << "vertex " << u << " has a repeated neighbour";
+      EXPECT_TRUE(std::find(nbrs.begin(), nbrs.end(), u) == nbrs.end())
+          << "vertex " << u << " has a self-loop";
+    }
+    EXPECT_EQ(g.edges(), random_regular(n, r, rng2).edges());
+    EXPECT_EQ(rng1.next_u64(), rng2.next_u64());  // same stream state
+  }
+  auto rng = test_rng(17);
+  EXPECT_EQ(random_regular(16, 15, rng).edges(), complete(16).edges());
 }
 
 TEST(RandomRegular, RejectsOddProduct) {

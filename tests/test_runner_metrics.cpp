@@ -427,8 +427,7 @@ std::vector<std::uint64_t> bips_infection_curve(core::Engine engine,
 
 TEST_F(MetricsRunTest, RoundsModeDoesNotPerturbAnyEngine) {
   using core::Engine;
-  for (const Engine e : {Engine::kReference, Engine::kSparse,
-                         Engine::kDense, Engine::kAuto}) {
+  for (const Engine e : {Engine::kSparse, Engine::kDense, Engine::kAuto}) {
     util::clear_env_overrides();
     const auto cobra_off = cobra_first_visits(e, 4321);
     const auto bips_off = bips_infection_curve(e, 4321);

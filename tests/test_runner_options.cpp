@@ -83,7 +83,7 @@ TEST(RunnerOptions, ParsesEverySpaceSeparatedFlag) {
 }
 
 TEST(RunnerOptions, EngineFlagValidatedAtParseTime) {
-  for (const std::string name : {"reference", "sparse", "dense", "auto"}) {
+  for (const std::string name : {"sparse", "dense", "auto"}) {
     RunnerOptions o;
     ASSERT_EQ(parse({"--engine", name}, o), std::nullopt) << name;
     EXPECT_EQ(o.engine.value(), name);
@@ -98,6 +98,16 @@ TEST(RunnerOptions, EngineFlagValidatedAtParseTime) {
   RunnerOptions eq;
   ASSERT_EQ(parse({"--engine=dense"}, eq), std::nullopt);
   EXPECT_EQ(eq.engine.value(), "dense");
+}
+
+TEST(RunnerOptions, EngineReferenceIsAParseError) {
+  // "reference" named the retired sequential draw protocol: an old command
+  // line must fail, not silently run another protocol.
+  RunnerOptions o;
+  const auto error = parse({"--engine", "reference"}, o);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_NE(error->find("sparse|dense|auto"), std::string::npos) << *error;
+  EXPECT_FALSE(o.engine.has_value());
 }
 
 TEST(RunnerOptions, KernelThreadsFlagValidatedAtParseTime) {

@@ -606,15 +606,16 @@ TEST_F(SweepTest, MergeRefusesMixedSeeds) {
 }
 
 TEST_F(SweepTest, ResumeAndMergeRefuseMixedEngines) {
-  // The stepping engine is part of the run configuration: fast-engine
-  // archives are not byte-identical to reference archives, so the journal
-  // pins it exactly like seed and scale.
+  // The stepping engine is part of the run configuration. Every engine
+  // gives the same bytes, but each has its own wall-time regime, which the
+  // cost model reads from the journal — so the journal pins it exactly
+  // like seed and scale.
   const ExperimentDef def = make_test_experiment();
   SweepConfig first = config("engines");
   first.max_cells = 1;
   run_experiment(def, first);
 
-  util::set_engine_override("reference");  // session default is "auto"
+  util::set_engine_override("sparse");  // session default is "auto"
   SweepConfig resume = config("engines");
   resume.resume = true;
   EXPECT_THROW(run_experiment(def, resume), util::CheckError);

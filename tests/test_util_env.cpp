@@ -73,8 +73,8 @@ TEST_F(EnvTest, GlobalSeedDefault) {
 TEST_F(EnvTest, EngineDefaultsToAuto) {
   unsetenv("COBRA_ENGINE");
   EXPECT_EQ(engine(), "auto");
-  setenv("COBRA_ENGINE", "reference", 1);
-  EXPECT_EQ(engine(), "reference");
+  setenv("COBRA_ENGINE", "dense", 1);
+  EXPECT_EQ(engine(), "dense");
 }
 
 TEST_F(EnvTest, EngineOverrideShadowsEnvironment) {
