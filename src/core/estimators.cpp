@@ -11,9 +11,9 @@ namespace {
 
 constexpr double kTimeoutSentinel = -1.0;
 
-// Resolves the stepping engine once per estimate and builds the
-// degree-bucketed alias tables a single time so every replicate (and
-// thread) shares them instead of rebuilding per process.
+// Resolves the stepping engine once per estimate and builds the sampler
+// (a lazy process's degree-bucketed alias tables) a single time so every
+// replicate (and thread) shares it instead of rebuilding per process.
 ProcessOptions share_sampler(const graph::Graph& g,
                              const ProcessOptions& options) {
   ProcessOptions resolved = options;

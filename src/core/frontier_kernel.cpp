@@ -13,6 +13,7 @@ NeighborSampler::NeighborSampler(const graph::Graph& g, double laziness)
     : graph_(&g), laziness_(laziness) {
   COBRA_CHECK(g.num_vertices() >= 1);
   COBRA_CHECK(laziness >= 0.0 && laziness < 1.0);
+  if (laziness_ == 0.0) return;  // plain pushes: sample() needs no table
 
   bucket_of_degree_.assign(g.max_degree() + 1, 0u);
   std::vector<bool> seen(g.max_degree() + 1, false);
@@ -28,7 +29,7 @@ NeighborSampler::NeighborSampler(const graph::Graph& g, double laziness)
       weights.assign(1, 1.0);
     } else {
       weights.assign(d, (1.0 - laziness_) / static_cast<double>(d));
-      if (laziness_ > 0.0) weights.push_back(laziness_);
+      weights.push_back(laziness_);
     }
     tables_.emplace_back(weights);
   }

@@ -5,12 +5,16 @@
 //
 // Three building blocks, all engine-order-invariant by construction:
 //
-//   * NeighborSampler — degree-bucketed alias tables (rng/discrete) mapping
-//     one 64-bit word to a push destination in O(1): each neighbour of u
-//     with probability (1 - laziness)/deg(u), u itself with probability
-//     `laziness`. One table per distinct degree, built once per graph and
-//     shared by every vertex of that degree, across replicates and threads
-//     (sampling is const and lock-free).
+//   * NeighborSampler — maps one 64-bit word to a push destination in
+//     O(1): each neighbour of u with probability (1 - laziness)/deg(u), u
+//     itself with probability `laziness`. A plain (laziness 0) push is one
+//     fixed-point multiply of the word's high half by deg(u), with no table
+//     at all: it is exactly the column an equal-weight alias table would
+//     pick and always keep. Lazy pushes go through degree-bucketed alias
+//     tables (rng/discrete), one per distinct degree, built once per graph
+//     and shared by every vertex of that degree. Either way the sampler is
+//     shared across replicates and threads (sampling is const and
+//     lock-free).
 //
 //   * VertexDraws — a counter-based randomness stream for one (round,
 //     entity) pair, where the entity is a vertex id (set processes) or a
@@ -119,25 +123,38 @@ inline WordRange word_range(std::size_t words, std::size_t count,
   return WordRange{begin, begin + base + (i < extra ? 1 : 0)};
 }
 
-/// O(1) push-destination sampler with degree-bucketed alias tables.
+/// O(1) push-destination sampler: uniform slots for plain pushes,
+/// degree-bucketed alias tables for lazy ones.
 ///
 /// Immutable after construction; safe to share across threads and
 /// replicates via ProcessOptions::sampler. A vertex of degree 0 (only legal
 /// in the single-vertex graph) always "pushes" to itself.
 class NeighborSampler {
  public:
-  /// Builds one alias table per distinct degree of `g`. With laziness > 0
-  /// each table has deg + 1 slots (slot deg = stay put); with laziness 0 it
-  /// degenerates to a uniform slot choice. The sampler keeps a reference to
-  /// the graph, which must outlive it.
+  /// With laziness > 0, builds one alias table per distinct degree of `g`,
+  /// each with deg + 1 slots (slot deg = stay put). With laziness 0 it
+  /// builds nothing: sample() picks the slot directly. The sampler keeps a
+  /// reference to the graph, which must outlive it.
   NeighborSampler(const graph::Graph& g, double laziness);
 
   /// Maps a uniform 64-bit `word` to the destination of one push from `u`.
-  /// Exact up to the alias table's 2^-32 fixed-point quantisation — far
-  /// below Monte-Carlo noise, and identical across engines by design.
+  /// Exact up to the 2^-32 fixed-point quantisation of the slot choice —
+  /// far below Monte-Carlo noise, and identical across engines by design.
+  ///
+  /// A plain push takes slot ((word >> 32) * deg) >> 32. That is the
+  /// column rng::AliasTable::sample_word picks over deg equal weights, and
+  /// such a table keeps every column it picks: each scaled weight is the
+  /// same double, so Vose's loop pairs nothing and every threshold is
+  /// exactly 1.0, above any accept value. test_neighbor_sampler pins the
+  /// two paths to each other.
   [[nodiscard]] graph::VertexId sample(graph::VertexId u,
                                        std::uint64_t word) const {
     const std::uint32_t degree = graph_->degree(u);
+    if (laziness_ == 0.0) {
+      if (degree == 0) return u;
+      return graph_->neighbor(
+          u, static_cast<std::uint32_t>(((word >> 32) * degree) >> 32));
+    }
     const rng::AliasTable& table = tables_[bucket_of_degree_[degree]];
     const std::uint32_t slot = table.sample_word(word);
     return slot < degree ? graph_->neighbor(u, slot) : u;
@@ -150,7 +167,8 @@ class NeighborSampler {
   /// The graph the tables were built for.
   [[nodiscard]] const graph::Graph& graph() const { return *graph_; }
 
-  /// Number of distinct degree buckets (introspection/tests).
+  /// Number of alias tables: one per distinct degree when lazy, none for
+  /// plain pushes (introspection/tests).
   [[nodiscard]] std::size_t num_buckets() const { return tables_.size(); }
 
  private:

@@ -107,10 +107,10 @@ struct ProcessOptions {
   int kernel_threads = 0;
 
   /// Optional pre-built destination sampler, shared across replicates so
-  /// the degree-bucketed alias tables are constructed once per graph
-  /// rather than once per process. Must match the process's graph and
-  /// laziness. When null, a process that samples destinations builds
-  /// its own.
+  /// a lazy process's degree-bucketed alias tables are constructed once
+  /// per graph rather than once per process. Must match the process's
+  /// graph and laziness. When null, a process that samples destinations
+  /// builds its own.
   std::shared_ptr<const NeighborSampler> sampler;
 
   /// Telemetry hook (core/metrics.hpp): when non-null, the process's

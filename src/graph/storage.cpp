@@ -2,12 +2,14 @@
 
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 #include <iomanip>
+#include <limits>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -16,17 +18,29 @@ namespace cobra::graph {
 
 void check_csr_fits(const std::string& what, double n, double m) {
   const double bytes = 8.0 * (n + 1.0) + 4.0 * 2.0 * m;
+  // The smaller of physical memory and the address-space limit; an
+  // unknown or unlimited one refuses nothing.
+  double limit = std::numeric_limits<double>::infinity();
+  const char* limit_name = nullptr;
   const long pages = sysconf(_SC_PHYS_PAGES);
   const long page_size = sysconf(_SC_PAGE_SIZE);
-  if (pages <= 0 || page_size <= 0) return;  // unknown: nothing to refuse
-  const double physical =
-      static_cast<double>(pages) * static_cast<double>(page_size);
-  COBRA_CHECK_MSG(bytes <= physical,
+  if (pages > 0 && page_size > 0) {
+    limit = static_cast<double>(pages) * static_cast<double>(page_size);
+    limit_name = "physical memory";
+  }
+  struct rlimit address_space{};
+  if (::getrlimit(RLIMIT_AS, &address_space) == 0 &&
+      address_space.rlim_cur != RLIM_INFINITY &&
+      static_cast<double>(address_space.rlim_cur) < limit) {
+    limit = static_cast<double>(address_space.rlim_cur);
+    limit_name = "address space allowed by ulimit -v (RLIMIT_AS)";
+  }
+  COBRA_CHECK_MSG(bytes <= limit,
                   what << " needs an estimated " << std::fixed
                        << std::setprecision(1) << bytes / 1e9
                        << " GB for its CSR (8(n+1) + 8m bytes), "
-                       << "more than the " << physical / 1e9
-                       << " GB of physical memory here");
+                       << "more than the " << limit / 1e9 << " GB of "
+                       << limit_name << " here");
 }
 
 MappedFile MappedFile::open_read(const std::string& path) {

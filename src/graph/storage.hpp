@@ -32,11 +32,12 @@ using VertexId = std::uint32_t;
 
 /// Refuses a graph whose CSR arrays alone — 8 bytes per offset, n + 1 of
 /// them, and 4 bytes per neighbour id, two per edge — would exceed this
-/// machine's physical memory, before anything is allocated: an absurd
-/// spec or edge-list header fails with `what` (the spec, or path and
-/// line) and the estimate, not later with an unlocated std::bad_alloc.
-/// Estimated in double, so the estimate itself cannot overflow. Throws
-/// util::CheckError.
+/// machine's physical memory or the process's address-space limit
+/// (`ulimit -v`, RLIMIT_AS), whichever is smaller, before anything is
+/// allocated: an absurd spec or edge-list header fails with `what` (the
+/// spec, or path and line), the estimate and the limit that refused it,
+/// not later with an unlocated std::bad_alloc. Estimated in double, so
+/// the estimate itself cannot overflow. Throws util::CheckError.
 void check_csr_fits(const std::string& what, double n, double m);
 
 /// Immutable home of a graph's CSR arrays. Implementations guarantee the

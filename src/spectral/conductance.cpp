@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "rng/stream.hpp"
+#include "spectral/lanczos.hpp"
 #include "util/assert.hpp"
 
 namespace cobra::spectral {
@@ -104,19 +105,18 @@ double estimate_conductance(const graph::Graph& g, std::uint64_t seed) {
   for (double& value : principal) value /= pn;
 
   for (double& value : x) value = rng.uniform01() - 0.5;
+  util::ForkJoinTeam team(matvec_workers(g));
   for (int it = 0; it < 80; ++it) {
     double c = 0.0;
     for (graph::VertexId u = 0; u < n; ++u) c += x[u] * principal[u];
     for (graph::VertexId u = 0; u < n; ++u) x[u] -= c * principal[u];
     // Half-lazy operator (I + N)/2 avoids bipartite sign oscillation.
-    for (graph::VertexId u = 0; u < n; ++u) {
-      double acc = 0.0;
-      for (const graph::VertexId v : g.neighbors(u))
-        acc += x[v] * inv_sqrt_deg[v];
-      y[u] = 0.5 * (x[u] + acc * inv_sqrt_deg[u]);
-    }
+    apply_normalized_adjacency(g, inv_sqrt_deg, x, y, team);
     double yn = 0.0;
-    for (const double value : y) yn += value * value;
+    for (graph::VertexId u = 0; u < n; ++u) {
+      y[u] = 0.5 * (x[u] + y[u]);
+      yn += y[u] * y[u];
+    }
     yn = std::sqrt(yn);
     if (yn < 1e-300) break;
     for (graph::VertexId u = 0; u < n; ++u) x[u] = y[u] / yn;

@@ -18,6 +18,11 @@
 // sequence), warm-started from the previous step's values — by Cauchy
 // interlacing the top one never decreases and the bottom one never
 // increases — so the test costs a few O(k) passes per step.
+//
+// The matvec rows run on one util::ForkJoinTeam per solve, in fixed
+// chunks of kMatvecChunkRows; every dot product and norm stays serial and
+// in index order. Each row is computed exactly as a serial loop computes
+// it, so a solve returns bit-identical results at every thread count.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +31,7 @@
 
 #include "graph/graph.hpp"
 #include "rng/rng.hpp"
+#include "util/fork_join_team.hpp"
 
 namespace cobra::spectral {
 
@@ -40,17 +46,28 @@ struct LanczosResult {
   std::uint32_t steps = 0;  // matvecs (= Lanczos steps) taken
 };
 
+/// Rows per matvec chunk: the unit a solve's team claims.
+inline constexpr graph::VertexId kMatvecChunkRows = 1024;
+
+/// Worker threads for the matvec team of one solve on `g`:
+/// util::max_threads() - 1, capped so every thread has a chunk — 0 (no
+/// thread spawned) when g fits in one chunk.
+std::size_t matvec_workers(const graph::Graph& g);
+
 /// y = N x for N = D^{-1/2} A D^{-1/2}, given inv_sqrt_deg[u] =
-/// deg(u)^{-1/2}: the one matvec each Lanczos step costs.
+/// deg(u)^{-1/2}: the one matvec each Lanczos step costs. Rows are handed
+/// to `team` in chunks of kMatvecChunkRows; y[u] does not depend on the
+/// chunk or thread that computes it.
 void apply_normalized_adjacency(const graph::Graph& g,
                                 std::span<const double> inv_sqrt_deg,
                                 std::span<const double> x,
-                                std::span<double> y);
+                                std::span<double> y, util::ForkJoinTeam& team);
 
 /// Runs Lanczos from a random start vector drawn from `rng` until both
 /// extreme Ritz residuals are <= kLambdaResidualTol or the Krylov space is
-/// exhausted. Throws util::CheckError naming the graph, n, steps and
-/// residual if that takes more than n + a small slack steps.
+/// exhausted. The matvecs run on a team of matvec_workers(g) threads.
+/// Throws util::CheckError naming the graph, n, steps and residual if that
+/// takes more than n + a small slack steps.
 LanczosResult lanczos_extremes(const graph::Graph& g, rng::Rng& rng);
 
 /// Number of eigenvalues below `x` of the symmetric tridiagonal matrix

@@ -3,7 +3,7 @@
 // for every protocol, reference/sparse/dense/auto produce bit-for-bit
 // identical results at a fixed seed — golden-seed outcomes on path, cycle,
 // hypercube and random-regular fixtures — because all randomness is keyed
-// by (round key, entity) and destinations share one alias-table mapping.
+// by (round key, entity) and destinations share one sampler mapping.
 #include <gtest/gtest.h>
 
 #include <map>
