@@ -20,7 +20,8 @@ namespace cobra::baselines {
 
 /// Options accepted by every baseline cover function.
 struct BaselineOptions {
-  /// Stepping engine; kDefault defers to --engine / COBRA_ENGINE.
+  /// Frontier representation; kDefault is kAuto. Only tests and
+  /// micro-benchmarks force another.
   core::Engine engine = core::Engine::kDefault;
   /// In-round kernel lane count; 0 defers to --kernel-threads /
   /// COBRA_KERNEL_THREADS, as in ProcessOptions::kernel_threads. Results

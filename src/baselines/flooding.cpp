@@ -22,20 +22,11 @@ FloodingResult flooding_cover(const graph::Graph& g, graph::VertexId start,
   FloodingResult result;
   while (!kernel.all_visited() && result.rounds < max_rounds) {
     result.transmissions += informed_degree;
-    const bool dense =
-        kernel.begin_round(kernel.density_score(kernel.frontier_size()));
-    if (dense) {
-      kernel.scatter_frontier_scan(
-          [&](core::FrontierKernel::DenseLane& lane, graph::VertexId u) {
-            for (const graph::VertexId v : g.neighbors(u))
-              if (!kernel.is_visited(v)) lane.emit(v);
-          });
-    } else {
-      auto sink = kernel.growth_sink();
-      kernel.for_each_in_frontier([&](graph::VertexId u) {
-        for (const graph::VertexId v : g.neighbors(u)) sink.emit(v);
-      });
-    }
+    kernel.begin_round(kernel.density_score(kernel.frontier_size()));
+    kernel.frontier_scan<core::Sink::kGrowth>(
+        [&](auto& lane, graph::VertexId u) {
+          for (const graph::VertexId v : g.neighbors(u)) lane.emit(v);
+        });
     const std::uint32_t newly =
         kernel.commit(FrontierKernel::Commit::kReplace);
     ++result.rounds;

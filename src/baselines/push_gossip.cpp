@@ -25,20 +25,11 @@ GossipResult push_gossip_cover(const graph::Graph& g, graph::VertexId start,
     // before it — the frontier snapshot the kernel iterates.
     const std::uint32_t senders = kernel.frontier_size();
     const std::uint64_t round_key = rng.next_u64();
-    const bool dense = kernel.begin_round(kernel.density_score(senders));
-    if (dense) {
-      kernel.scatter_frontier_scan(
-          [&](core::FrontierKernel::DenseLane& lane, graph::VertexId u) {
-            const graph::VertexId v =
-                sampler.sample(u, lane.draws(round_key, u).next_word());
-            if (!kernel.is_visited(v)) lane.emit(v);
-          });
-    } else {
-      auto sink = kernel.growth_sink();
-      kernel.for_each_in_frontier([&](graph::VertexId u) {
-        sink.emit(sampler.sample(u, kernel.draws(round_key, u).next_word()));
-      });
-    }
+    kernel.begin_round(kernel.density_score(senders));
+    kernel.frontier_scan<core::Sink::kGrowth>(
+        [&](auto& lane, graph::VertexId u) {
+          lane.emit(sampler.sample(u, lane.draws(round_key, u).next_word()));
+        });
     kernel.commit(FrontierKernel::Commit::kAccumulate);
     ++result.rounds;
     result.transmissions += senders;

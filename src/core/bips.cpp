@@ -151,7 +151,7 @@ void BipsProcess::step_dense(std::uint64_t round_key) {
   const bool lazy = options_.process.laziness > 0.0;
   if (scratch_.size() != n) scratch_.resize(n);
   scratch_.reset_all();
-  auto sink = kernel_.dense_sink();
+  std::uint64_t* next = kernel_.next_words();
   const std::uint32_t a = kernel_.frontier_size();
 
   const auto sample_marked = [&] {
@@ -184,7 +184,6 @@ void BipsProcess::step_dense(std::uint64_t round_key) {
           if (lazy) lane.emit(u);
           for (const graph::VertexId w : graph_->neighbors(u)) lane.emit(w);
         });
-    std::uint64_t* next = kernel_.next_words();
     const auto& marked = scratch_.words();
     for (std::size_t w = 0; w < marked.size(); ++w) next[w] = ~marked[w];
     const std::size_t tail = static_cast<std::size_t>(n) & 63;
@@ -192,7 +191,7 @@ void BipsProcess::step_dense(std::uint64_t round_key) {
     sample_marked();
   }
   // The persistent sources are infected whatever they drew.
-  for (const graph::VertexId s : sources_) sink.emit(s);
+  for (const graph::VertexId s : sources_) next[s >> 6] |= 1ull << (s & 63);
 }
 
 std::optional<std::uint64_t> BipsProcess::run_until_full(

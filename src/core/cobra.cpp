@@ -40,53 +40,28 @@ void CobraProcess::reset(std::span<const graph::VertexId> start) {
   transmissions_ = 0;
 }
 
-void CobraProcess::push_round(std::uint64_t round_key) {
+std::uint32_t CobraProcess::step(rng::Rng& rng) {
+  // One round key from the sequential stream; every per-vertex choice
+  // below is a pure function of (round_key, vertex), so the frontier
+  // representation the kernel picks cannot affect the outcome.
+  const std::uint64_t round_key = rng.next_u64();
+  kernel_.begin_round(kernel_.density_score(kernel_.frontier_size()));
   const Branching& branching = options_.branching;
   const NeighborSampler& sampler = kernel_.sampler();
-  auto sink = kernel_.coalescing_sink();
-  kernel_.for_each_in_frontier([&](graph::VertexId u) {
-    VertexDraws draws = kernel_.draws(round_key, u);
-    std::uint32_t fanout = branching.base;
-    if (branching.extra_prob > 0.0 && draws.bernoulli(branching.extra_prob))
-      ++fanout;
-    transmissions_ += fanout;
-    for (std::uint32_t j = 0; j < fanout; ++j)
-      sink.emit(sampler.sample(u, draws.next_word()));
-  });
-}
-
-void CobraProcess::push_round_dense(std::uint64_t round_key) {
-  const Branching& branching = options_.branching;
-  const NeighborSampler& sampler = kernel_.sampler();
-  transmissions_ += kernel_.scatter_frontier_scan(
-      [&](FrontierKernel::DenseLane& lane, graph::VertexId u) {
+  const std::uint64_t transmissions = kernel_.frontier_scan<Sink::kCoalescing>(
+      [&](auto& lane, graph::VertexId u) {
         VertexDraws draws = lane.draws(round_key, u);
         std::uint32_t fanout = branching.base;
         if (branching.extra_prob > 0.0 &&
             draws.bernoulli(branching.extra_prob))
           ++fanout;
-        lane.user += fanout;
+        lane.tally(fanout);
         for (std::uint32_t j = 0; j < fanout; ++j)
           lane.emit(sampler.sample(u, draws.next_word()));
       });
-}
-
-std::uint32_t CobraProcess::step(rng::Rng& rng) {
-  // One round key from the sequential stream; every per-vertex choice
-  // below is a pure function of (round_key, vertex), so the frontier
-  // representation cannot affect the outcome.
-  const std::uint64_t round_key = rng.next_u64();
-  const std::uint64_t transmissions_before = transmissions_;
-  const bool dense =
-      kernel_.begin_round(kernel_.density_score(kernel_.frontier_size()));
-  if (dense) {
-    push_round_dense(round_key);
-  } else {
-    push_round(round_key);
-  }
+  transmissions_ += transmissions;
   const std::uint32_t newly = kernel_.commit(FrontierKernel::Commit::kReplace);
-  if (StepMetrics* m = kernel_.metrics())
-    m->emissions += transmissions_ - transmissions_before;
+  if (StepMetrics* m = kernel_.metrics()) m->emissions += transmissions;
   ++round_;
   return newly;
 }

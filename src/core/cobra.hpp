@@ -130,13 +130,6 @@ class CobraProcess {
   /// Builds the kernel configuration for the resolved engine.
   FrontierKernel::Config kernel_config() const;
 
-  /// One keyed sparse round over the frontier into the coalescing sink.
-  void push_round(std::uint64_t round_key);
-
-  /// One keyed dense round through the kernel's lane-parallel frontier
-  /// scan (serial at kernel_threads = 1, bit-identical at any setting).
-  void push_round_dense(std::uint64_t round_key);
-
   const graph::Graph* graph_;
   ProcessOptions options_;
   Engine engine_;

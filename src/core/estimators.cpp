@@ -4,6 +4,7 @@
 
 #include "sim/monte_carlo.hpp"
 #include "util/assert.hpp"
+#include "util/fork_join_team.hpp"
 
 namespace cobra::core {
 
@@ -11,13 +12,21 @@ namespace {
 
 constexpr double kTimeoutSentinel = -1.0;
 
-// Resolves the stepping engine once per estimate and builds the sampler
-// (a lazy process's degree-bucketed alias tables) a single time so every
-// replicate (and thread) shares it instead of rebuilding per process.
+// Refuses a replicate count the replicate fan-out cannot claim, before
+// any per-replicate vector is allocated.
+void check_replicates(std::uint64_t replicates) {
+  COBRA_CHECK_MSG(
+      replicates >= 1 && replicates < util::ForkJoinTeam::kCountLimit,
+      "replicate count " << replicates << " is outside [1, "
+                         << util::ForkJoinTeam::kCountLimit - 1 << "]");
+}
+
+// Builds the sampler (a lazy process's degree-bucketed alias tables) a
+// single time so every replicate (and thread) shares it instead of
+// rebuilding per process.
 ProcessOptions share_sampler(const graph::Graph& g,
                              const ProcessOptions& options) {
   ProcessOptions resolved = options;
-  resolved.engine = resolve_engine(options.engine);
   if (resolved.sampler == nullptr)
     resolved.sampler =
         std::make_shared<const NeighborSampler>(g, resolved.laziness);
@@ -45,7 +54,7 @@ TimeSamples estimate_cobra_cover(const graph::Graph& g,
                                  graph::VertexId start,
                                  std::uint64_t replicates, std::uint64_t seed,
                                  std::uint64_t max_rounds) {
-  COBRA_CHECK(replicates >= 1);
+  check_replicates(replicates);
   const ProcessOptions shared = share_sampler(g, options);
   std::vector<double> rounds(replicates, 0.0);
   std::vector<double> transmissions(replicates, 0.0);
@@ -66,7 +75,7 @@ TimeSamples estimate_cobra_hit(const graph::Graph& g,
                                graph::VertexId start, graph::VertexId target,
                                std::uint64_t replicates, std::uint64_t seed,
                                std::uint64_t max_rounds) {
-  COBRA_CHECK(replicates >= 1);
+  check_replicates(replicates);
   const ProcessOptions shared = share_sampler(g, options);
   std::vector<double> rounds(replicates, 0.0);
   std::vector<double> transmissions(replicates, 0.0);
@@ -88,7 +97,7 @@ TimeSamples estimate_bips_infection(const graph::Graph& g,
                                     std::uint64_t replicates,
                                     std::uint64_t seed,
                                     std::uint64_t max_rounds) {
-  COBRA_CHECK(replicates >= 1);
+  check_replicates(replicates);
   const BipsOptions shared{share_sampler(g, options.process)};
   std::vector<double> rounds(replicates, 0.0);
   sim::parallel_replicates(replicates, seed,
@@ -107,7 +116,7 @@ std::vector<double> average_bips_growth(const graph::Graph& g,
                                         std::uint64_t rounds,
                                         std::uint64_t replicates,
                                         std::uint64_t seed) {
-  COBRA_CHECK(replicates >= 1);
+  check_replicates(replicates);
   const BipsOptions shared{share_sampler(g, options.process)};
   std::vector<double> acc(rounds + 1, 0.0);
   std::vector<std::vector<double>> per_rep(replicates);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <string>
 
 #include "util/assert.hpp"
 #include "util/env.hpp"
@@ -48,19 +47,12 @@ const char* engine_name(Engine engine) {
 std::optional<Engine> parse_engine(std::string_view name) {
   if (name == "sparse") return Engine::kSparse;
   if (name == "dense") return Engine::kDense;
-  if (name == "auto" || name == "fast") return Engine::kAuto;
+  if (name == "auto") return Engine::kAuto;
   return std::nullopt;
 }
 
 Engine resolve_engine(Engine engine) {
-  if (engine != Engine::kDefault) return engine;
-  const std::string session = util::engine();
-  const auto parsed = parse_engine(session);
-  COBRA_CHECK_MSG(parsed.has_value(),
-                  "COBRA_ENGINE/--engine must be one of "
-                  "sparse|dense|auto (got \"" +
-                      session + "\")");
-  return *parsed;
+  return engine == Engine::kDefault ? Engine::kAuto : engine;
 }
 
 int resolve_kernel_threads(int kernel_threads) {
@@ -300,8 +292,8 @@ std::uint32_t FrontierKernel::commit(Commit policy) {
   // Sparse round.
   if (policy == Commit::kReplace) {
     ++epoch_;
-    // CoalescingSink already stamped next_ with the new epoch; other sinks
-    // leave stamping to the commit.
+    // A coalescing SinkLane already stamped next_ with the new epoch;
+    // other rounds leave stamping to the commit.
     active_.swap(next_);
     if (!round_stamped_)
       for (const graph::VertexId u : active_) stamp_[u] = epoch_;

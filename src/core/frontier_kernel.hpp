@@ -37,20 +37,29 @@
 // Round protocol of a kernel process (see CobraProcess::step for the
 // canonical use):
 //   1. draw one 64-bit round key from the replicate stream;
-//   2. dense = begin_round(score)  — pick this round's representation;
-//   3. iterate (for_each_in_frontier / for_each_outside_frontier / a
-//      process-owned entity range), derive randomness via draws(key,
-//      entity), and emit next-frontier vertices into the matching sink;
+//   2. begin_round(score) — the kernel picks this round's representation
+//      (engine and density score; the process never branches on it);
+//   3. state the per-vertex rule once, as a generic body(lane, u) handed
+//      to frontier_scan / complement_scan / vertex_scan<S>, where S names
+//      the sink rule. The body derives randomness via lane.draws(key, u)
+//      and emits next-frontier vertices via lane.emit(v). A sparse round
+//      runs the body serially through a SinkLane over the next-frontier
+//      vector; a dense round runs it on the lane-parallel scatter scans
+//      through ScatterLanes over bitsets;
 //   4. commit(kReplace | kAccumulate) — swap or grow the frontier, merge
 //      the visited set, return the number of first visits.
 //
-// Sink flavours (sparse rounds; dense rounds always use DenseSink):
-//   * CoalescingSink — deduplicates within the round via epoch stamps
-//     (COBRA's coalescing rule) and counts first visits;
-//   * GrowthSink     — deduplicates against the visited set (monotone
-//     processes: flooding layers, gossip).
-// Processes that emit each vertex at most once per round by construction
-// (BIPS) append through plain_vertex_scan's lanes instead.
+// Sink rules (Sink, stated at the scan call):
+//   * kCoalescing — a vertex enters at most once per round (COBRA's
+//     coalescing rule): epoch stamps in sparse rounds, the bitset itself
+//     in dense ones; first visits counted;
+//   * kGrowth     — only never-visited vertices enter (monotone
+//     processes: flooding layers, gossip): the visited set deduplicates
+//     in sparse rounds and filters in dense ones.
+// BIPS runs two different algorithms rather than one rule in two
+// representations — a full sampling scan (plain_vertex_scan) and boundary
+// marking (the explicit-dest scatter scans plus local_marked_scan) — and
+// picks between them with its own cost score.
 //
 // In-round parallelism (docs/ARCHITECTURE.md, "Frontier kernel"): dense
 // rounds can fan their scans and the commit merge out over
@@ -219,6 +228,16 @@ class VertexDraws {
   std::uint64_t counter_ = 0;
 };
 
+/// How a process's emissions enter the next frontier, stated at each
+/// FrontierKernel round scan.
+enum class Sink : std::uint8_t {
+  /// Transient frontiers (COBRA): a vertex enters at most once per round,
+  /// however many pushes reach it.
+  kCoalescing,
+  /// Monotone sets (flooding, gossip): only never-visited vertices enter.
+  kGrowth,
+};
+
 /// The dual sparse/dense frontier state machine shared by every spreading
 /// process (see the file comment for the round protocol).
 ///
@@ -227,10 +246,9 @@ class VertexDraws {
 class FrontierKernel {
  public:
   /// Construction parameters; `engine` must be resolved (not kDefault —
-  /// callers run core::resolve_engine first so the session default is
-  /// applied exactly once).
+  /// callers run core::resolve_engine first).
   struct Config {
-    /// Resolved stepping engine. kSparse never runs a dense round, kDense
+    /// Resolved representation policy. kSparse never runs a dense round, kDense
     /// always does, and kAuto switches to the dense frontier when
     /// begin_round's score reaches 1 and back below 0.5 (2x hysteresis);
     /// processes compute the score, typically via density_score().
@@ -330,31 +348,6 @@ class FrontierKernel {
     }
   }
 
-  /// Calls fn(u) for every vertex NOT in the frontier, ascending. Dense
-  /// representation scans complement words (O(n/64 + output)); sparse
-  /// falls back to a full stamp scan (O(n)) — pull-style processes switch
-  /// to dense precisely to make this cheap.
-  template <typename Fn>
-  void for_each_outside_frontier(Fn&& fn) const {
-    const std::size_t n = graph_->num_vertices();
-    if (dense_repr_) {
-      const auto& words = frontier_.words();
-      if (metrics_ != nullptr) metrics_->words_scanned += words.size();
-      for (std::size_t w = 0; w < words.size(); ++w) {
-        std::uint64_t bits = ~words[w];
-        if ((w << 6) + 64 > n) bits &= (1ull << (n & 63)) - 1;  // tail
-        while (bits != 0) {
-          const auto tz = static_cast<std::size_t>(std::countr_zero(bits));
-          bits &= bits - 1;
-          fn(static_cast<graph::VertexId>((w << 6) + tz));
-        }
-      }
-    } else {
-      for (graph::VertexId u = 0; u < n; ++u)
-        if (stamp_[u] != epoch_) fn(u);
-    }
-  }
-
   /// True iff the current frontier lives in the dense (bitset)
   /// representation.
   [[nodiscard]] bool dense_mode() const { return dense_repr_; }
@@ -393,77 +386,8 @@ class FrontierKernel {
   /// kDense, never for kSparse, and for kAuto when `score`
   /// reaches 1 (entry) or stays above 0.5 while already dense (the 2x
   /// hysteresis that prevents representation thrash). Prepares the
-  /// matching next-frontier buffer; emit only into the matching sink
-  /// flavour until commit().
+  /// matching next-frontier buffer for the round's scans.
   bool begin_round(double score);
-
-  /// Sparse-round sink with COBRA's coalescing rule: at most one copy of a
-  /// vertex per round (epoch-stamp deduplication), first visits counted at
-  /// emit time.
-  class CoalescingSink {
-   public:
-    /// Adds v to the next frontier unless it already coalesced this round.
-    void emit(graph::VertexId v) {
-      if (k_->stamp_[v] == k_->epoch_ + 1) {
-        if (k_->metrics_ != nullptr) ++k_->metrics_->dedup_hits;
-        return;
-      }
-      k_->stamp_[v] = k_->epoch_ + 1;
-      k_->next_.push_back(v);
-      if (k_->track_visited_ && k_->visited_.set_and_test(v))
-        ++k_->round_newly_;
-    }
-
-   private:
-    friend class FrontierKernel;
-    explicit CoalescingSink(FrontierKernel* k) : k_(k) {}
-    FrontierKernel* k_;
-  };
-
-  /// Sparse-round sink for monotone processes: only never-visited vertices
-  /// enter the next frontier (deduplication against the visited set).
-  class GrowthSink {
-   public:
-    /// Adds v to the next frontier iff it was never visited before.
-    void emit(graph::VertexId v) {
-      if (!k_->visited_.set_and_test(v)) {
-        if (k_->metrics_ != nullptr) ++k_->metrics_->dedup_hits;
-        return;
-      }
-      ++k_->round_newly_;
-      k_->next_.push_back(v);
-    }
-
-   private:
-    friend class FrontierKernel;
-    explicit GrowthSink(FrontierKernel* k) : k_(k) {}
-    FrontierKernel* k_;
-  };
-
-  /// Dense-round sink: sets the vertex's bit in the next-frontier bitset
-  /// (idempotent — the bitset is the deduplication).
-  class DenseSink {
-   public:
-    /// Marks v in the next frontier.
-    void emit(graph::VertexId v) { k_->next_frontier_.set(v); }
-
-   private:
-    friend class FrontierKernel;
-    explicit DenseSink(FrontierKernel* k) : k_(k) {}
-    FrontierKernel* k_;
-  };
-
-  /// The coalescing sink for the in-flight sparse round.
-  [[nodiscard]] CoalescingSink coalescing_sink() {
-    round_stamped_ = true;
-    return CoalescingSink(this);
-  }
-
-  /// The growth sink for the in-flight sparse round.
-  [[nodiscard]] GrowthSink growth_sink() { return GrowthSink(this); }
-
-  /// The dense sink for the in-flight dense round.
-  [[nodiscard]] DenseSink dense_sink() { return DenseSink(this); }
 
   /// Mutable word storage of the next-frontier bitset for word-parallel
   /// writers (the dense BIPS round initialises whole complement words in
@@ -471,16 +395,17 @@ class FrontierKernel {
   /// positions >= n clear, like util::DynamicBitset::data().
   [[nodiscard]] std::uint64_t* next_words() { return next_frontier_.data(); }
 
-  // --- lane-parallel round scans -----------------------------------------
+  // --- round scans -------------------------------------------------------
   //
   // Determinism contract: a scan's body must derive all randomness from
   // lane.draws(round_key, entity) — a pure function of (round_key, entity)
-  // — and fold per-lane tallies through lane.user. Emitted bits OR
+  // — and fold per-lane tallies through lane.tally. Emitted bits OR
   // together and uint64 sums commute, so the scan's outcome is identical
-  // at every kernel_threads value; only the wall-clock changes. The body
-  // runs concurrently on several threads: it may read the kernel's
-  // committed state (in_frontier, is_visited, the graph) but must not
-  // write anything shared.
+  // at every kernel_threads value and in either representation; only the
+  // wall-clock changes. In a dense round the body runs concurrently on
+  // several threads: it may read the kernel's committed state
+  // (in_frontier, is_visited, the graph) but must not write anything
+  // shared.
 
   /// The resolved in-round lane count (>= 1; Config::kernel_threads).
   [[nodiscard]] int kernel_threads() const { return threads_; }
@@ -505,9 +430,9 @@ class FrontierKernel {
     /// so session totals match the serial kernel's exactly).
     [[nodiscard]] StepMetrics& metrics() { return block_; }
 
-    /// Process-owned tally (e.g. COBRA transmissions); the scan returns
-    /// the lane-ordered sum over all lanes.
-    std::uint64_t user = 0;
+    /// Adds to the process-owned tally (e.g. COBRA transmissions); the
+    /// scan returns the lane-ordered sum over all lanes.
+    void tally(std::uint64_t count) { user_ += count; }
 
    protected:
     explicit Lane(Target target) : target_(target) {}
@@ -515,6 +440,7 @@ class FrontierKernel {
 
    private:
     friend class FrontierKernel;
+    std::uint64_t user_ = 0;
     StepMetrics block_;
   };
 
@@ -523,7 +449,8 @@ class FrontierKernel {
   /// local-write scans, a lane-owned scratch bitset otherwise).
   class DenseLane : public Lane<std::uint64_t*> {
    public:
-    /// Marks v in the lane's target bitset (idempotent, like DenseSink).
+    /// Marks v in the lane's target bitset (idempotent: the bitset is the
+    /// deduplication).
     void emit(graph::VertexId v) { target_[v >> 6] |= 1ull << (v & 63); }
 
    private:
@@ -544,21 +471,144 @@ class FrontierKernel {
     explicit SparseLane(std::vector<graph::VertexId>* out) : Lane(out) {}
   };
 
-  /// Lane-parallel scatter scan of the current frontier during a dense
-  /// round: body(lane, u) runs for every frontier vertex (word order in
-  /// the dense representation, insertion order in the sparse one — the
-  /// same orders the serial for_each_in_frontier uses) and may emit ANY
-  /// vertex; per-lane scratch plus an OR merge makes scattered emissions
-  /// race-free. Emits land in the round's next frontier. Returns the
-  /// lane-ordered sum of lane.user.
-  template <typename Body>
-  std::uint64_t scatter_frontier_scan(Body&& body) {
-    return scatter_frontier_scan(next_frontier_, std::forward<Body>(body));
+  /// The lane a process body sees in a sparse round: one serial lane that
+  /// emits straight into the round's next-frontier vector under rule S.
+  template <Sink S>
+  class SinkLane {
+   public:
+    /// The keyed word stream of `entity` (FrontierKernel::draws).
+    [[nodiscard]] VertexDraws draws(std::uint64_t round_key,
+                                    std::uint32_t entity) {
+      return k_->draws(round_key, entity);
+    }
+
+    /// kCoalescing: adds v unless it already entered this round
+    /// (epoch-stamp deduplication), counting a first visit when tracked.
+    /// kGrowth: adds v iff it was never visited before.
+    void emit(graph::VertexId v) {
+      FrontierKernel& k = *k_;
+      if constexpr (S == Sink::kCoalescing) {
+        if (k.stamp_[v] == k.epoch_ + 1) {
+          if (k.metrics_ != nullptr) ++k.metrics_->dedup_hits;
+          return;
+        }
+        k.stamp_[v] = k.epoch_ + 1;
+        k.next_.push_back(v);
+        if (k.track_visited_ && k.visited_.set_and_test(v)) ++k.round_newly_;
+      } else {
+        if (!k.visited_.set_and_test(v)) {
+          if (k.metrics_ != nullptr) ++k.metrics_->dedup_hits;
+          return;
+        }
+        ++k.round_newly_;
+        k.next_.push_back(v);
+      }
+    }
+
+    /// Adds to the process-owned tally the scan returns.
+    void tally(std::uint64_t count) { user_ += count; }
+
+   private:
+    friend class FrontierKernel;
+    explicit SinkLane(FrontierKernel* k) : k_(k) {
+      // The coalescing rule stamps next_ as it emits; commit() must not
+      // stamp it again.
+      if constexpr (S == Sink::kCoalescing) k->round_stamped_ = true;
+    }
+    FrontierKernel* k_;
+    std::uint64_t user_ = 0;
+  };
+
+  /// The lane a process body sees in a dense round: a view of one dense
+  /// lane that applies rule S before setting the bit. The bitset already
+  /// coalesces; kGrowth also drops vertices the committed visited set
+  /// holds.
+  template <Sink S>
+  class ScatterLane {
+   public:
+    /// The keyed word stream of `entity` (Lane::draws).
+    [[nodiscard]] VertexDraws draws(std::uint64_t round_key,
+                                    std::uint32_t entity) {
+      return lane_->draws(round_key, entity);
+    }
+
+    /// Marks v in the lane's target bitset unless rule S drops it.
+    void emit(graph::VertexId v) {
+      if constexpr (S == Sink::kGrowth) {
+        if ((visited_[v >> 6] >> (v & 63)) & 1) return;
+      }
+      lane_->emit(v);
+    }
+
+    /// Adds to the process-owned tally the scan returns.
+    void tally(std::uint64_t count) { lane_->tally(count); }
+
+   private:
+    friend class FrontierKernel;
+    ScatterLane(DenseLane* lane, const std::uint64_t* visited)
+        : lane_(lane), visited_(visited) {}
+    DenseLane* lane_;
+    const std::uint64_t* visited_;
+  };
+
+  /// One process round over the current frontier: body(lane, u) runs for
+  /// every frontier vertex and may emit ANY vertex under rule S. A sparse
+  /// round runs serially in insertion order through a SinkLane; a dense
+  /// round runs the lane-parallel scatter scan (word order in the dense
+  /// representation, insertion order in the sparse one) through
+  /// ScatterLanes. Returns the sum of the body's tallies.
+  template <Sink S, typename Body>
+  std::uint64_t frontier_scan(Body&& body) {
+    if (!round_dense_) {
+      SinkLane<S> lane(this);
+      for (const graph::VertexId u : active_) body(lane, u);
+      return lane.user_;
+    }
+    return scatter_frontier_scan(next_frontier_, scatter_body<S>(body));
   }
 
-  /// As above, but emitting into a caller-owned bitset (the BIPS boundary
-  /// marking pass targets its scratch, not the next frontier). `dest` must
-  /// be sized to the graph and hold the caller's intended base state.
+  /// As frontier_scan, over every vertex NOT in the frontier in ascending
+  /// order (the pull-gossip contact pass). A sparse round pays an O(n)
+  /// stamp scan; a dense one scans complement words.
+  template <Sink S, typename Body>
+  std::uint64_t complement_scan(Body&& body) {
+    if (!round_dense_) {
+      SinkLane<S> lane(this);
+      const std::size_t n = graph_->num_vertices();
+      for (std::size_t u = 0; u < n; ++u)
+        if (stamp_[u] != epoch_) body(lane, static_cast<graph::VertexId>(u));
+      return lane.user_;
+    }
+    return scatter_complement_scan(next_frontier_, scatter_body<S>(body));
+  }
+
+  /// As frontier_scan, over every vertex in ascending order (push-pull
+  /// gossip: everyone contacts every round).
+  template <Sink S, typename Body>
+  std::uint64_t vertex_scan(Body&& body) {
+    const std::size_t n = graph_->num_vertices();
+    if (!round_dense_) {
+      SinkLane<S> lane(this);
+      for (std::size_t u = 0; u < n; ++u)
+        body(lane, static_cast<graph::VertexId>(u));
+      return lane.user_;
+    }
+    auto scatter = scatter_body<S>(body);
+    return run_dense_lanes(n, next_frontier_, /*local_writes=*/false,
+                           [&](WordRange r, DenseLane& lane) {
+                             for (std::size_t u = r.begin; u < r.end; ++u)
+                               scatter(lane, static_cast<graph::VertexId>(u));
+                           });
+  }
+
+  /// Lane-parallel scatter scan of the current frontier during a dense
+  /// round, emitting into a caller-owned bitset (the BIPS boundary
+  /// marking pass targets its scratch, not the next frontier):
+  /// body(lane, u) runs for every frontier vertex (word order in the dense
+  /// representation, insertion order in the sparse one) and may emit ANY
+  /// vertex; per-lane scratch plus an OR merge makes scattered emissions
+  /// race-free. `dest` must be sized to the graph and hold the caller's
+  /// intended base state. Returns the lane-ordered sum of the tallies.
   template <typename Body>
   std::uint64_t scatter_frontier_scan(util::DynamicBitset& dest,
                                       Body&& body) {
@@ -586,16 +636,9 @@ class FrontierKernel {
         });
   }
 
-  /// Lane-parallel scatter scan of the complement of the frontier during a
-  /// dense round (the pull-gossip contact pass), ascending vertex order
-  /// within each lane. Emits land in the round's next frontier; the
-  /// explicit-dest overload serves the BIPS boundary marking. Returns the
-  /// lane-ordered sum of lane.user.
-  template <typename Body>
-  std::uint64_t scatter_complement_scan(Body&& body) {
-    return scatter_complement_scan(next_frontier_, std::forward<Body>(body));
-  }
-
+  /// As scatter_frontier_scan, over the complement of the frontier in
+  /// ascending vertex order within each lane (the BIPS boundary marking
+  /// when the uninfected side is small).
   template <typename Body>
   std::uint64_t scatter_complement_scan(util::DynamicBitset& dest,
                                         Body&& body) {
@@ -629,27 +672,13 @@ class FrontierKernel {
         });
   }
 
-  /// Lane-parallel scan of every vertex during a dense round (push-pull
-  /// gossip: everyone contacts every round), ascending order within each
-  /// lane; emissions may scatter. Returns the lane-ordered sum of
-  /// lane.user.
-  template <typename Body>
-  std::uint64_t scatter_vertex_scan(Body&& body) {
-    return run_dense_lanes(
-        graph_->num_vertices(), next_frontier_, /*local_writes=*/false,
-        [&](WordRange r, DenseLane& lane) {
-          for (std::size_t u = r.begin; u < r.end; ++u)
-            body(lane, static_cast<graph::VertexId>(u));
-        });
-  }
-
   /// Lane-parallel scan of `marked`'s set bits during a dense round, with
   /// LOCAL writes: the body may emit only the vertex it was called with
   /// (or nothing), so every lane writes next-frontier words it alone owns
   /// and no scratch or merge is needed — emissions land directly in the
   /// next frontier, including on top of words pre-filled through
   /// next_words() (the BIPS complement install). `marked` must be sized to
-  /// the graph. Returns the lane-ordered sum of lane.user.
+  /// the graph. Returns the lane-ordered sum of the tallies.
   template <typename Body>
   std::uint64_t local_marked_scan(const util::DynamicBitset& marked,
                                   Body&& body) {
@@ -673,7 +702,7 @@ class FrontierKernel {
   /// round): lanes cover ascending index ranges and their emission vectors
   /// are concatenated in lane order into the next frontier, reproducing
   /// the serial ascending order exactly. Returns the lane-ordered sum of
-  /// lane.user.
+  /// the tallies.
   template <typename Body>
   std::uint64_t plain_vertex_scan(Body&& body) {
     return run_sparse_lanes(
@@ -696,13 +725,24 @@ class FrontierKernel {
   std::uint32_t commit(Commit policy);
 
  private:
+  /// Adapts a process body to the dense scans: each call sees its dense
+  /// lane through a ScatterLane<S> view (inlined away).
+  template <Sink S, typename Body>
+  auto scatter_body(Body& body) {
+    return [&body, visited = visited_.words().data()](
+               DenseLane& lane, graph::VertexId u) {
+      ScatterLane<S> view(&lane, visited);
+      body(view, u);
+    };
+  }
+
   /// Drives one dense scan of [0, items) across lane_count(items,
   /// threads_) lanes, lane i taking word_range(items, lanes, i); any thread
   /// of the team may run any lane. With local_writes every lane targets
   /// `dest` directly (the body's emissions stay inside the lane's own
   /// words); otherwise lane 0 targets `dest` and lanes >= 1 per-lane
   /// scratch bitsets, zeroed at lane start and OR-merged into `dest` in
-  /// lane order after the join. Returns the lane-ordered sum of lane.user
+  /// lane order after the join. Returns the lane-ordered sum of the tallies
   /// and folds lane telemetry into the kernel block.
   template <typename Task>
   std::uint64_t run_dense_lanes(std::size_t items, util::DynamicBitset& dest,
@@ -713,7 +753,7 @@ class FrontierKernel {
       DenseLane lane(dest.data());
       task(WordRange{0, items}, lane);
       fold_lane(lane.block_);
-      return lane.user;
+      return lane.user_;
     }
     if (!local_writes) ensure_lane_scratch(lanes - 1);
     dense_lanes_.reserve(static_cast<std::size_t>(threads_));
@@ -733,7 +773,7 @@ class FrontierKernel {
       if (!local_writes && i > 0)
         util::simd::or_words(dest.data(), lane_scratch_[i - 1].data(),
                              merge_words);
-      user += lane.user;
+      user += lane.user_;
       fold_lane(lane.block_);
     }
     return user;
@@ -742,7 +782,7 @@ class FrontierKernel {
   /// Drives one sparse plain scan of [0, items) across lane_count(items,
   /// threads_) lanes: lane 0 appends to next_, lanes >= 1 to per-lane
   /// vectors concatenated in lane order after the join. Returns the
-  /// lane-ordered sum of lane.user.
+  /// lane-ordered sum of the tallies.
   template <typename Task>
   std::uint64_t run_sparse_lanes(std::size_t items, Task&& task) {
     const std::size_t lanes = lane_count(items, threads_);
@@ -751,7 +791,7 @@ class FrontierKernel {
       SparseLane lane(&next_);
       task(WordRange{0, items}, lane);
       fold_lane(lane.block_);
-      return lane.user;
+      return lane.user_;
     }
     if (lane_out_.size() < lanes - 1) lane_out_.resize(lanes - 1);
     sparse_lanes_.reserve(static_cast<std::size_t>(threads_));
@@ -769,7 +809,7 @@ class FrontierKernel {
       SparseLane& lane = sparse_lanes_[i];
       if (i > 0)
         next_.insert(next_.end(), lane.target_->begin(), lane.target_->end());
-      user += lane.user;
+      user += lane.user_;
       fold_lane(lane.block_);
     }
     return user;
@@ -871,7 +911,7 @@ class FrontierKernel {
 
   // In-flight round state (between begin_round and commit).
   bool round_dense_ = false;
-  bool round_stamped_ = false;    // a CoalescingSink pre-stamped next_
+  bool round_stamped_ = false;    // a coalescing SinkLane stamped next_
   std::uint32_t round_newly_ = 0;  // first visits counted by sparse sinks
 
   util::DynamicBitset visited_;

@@ -16,16 +16,18 @@ namespace cobra::core {
 class NeighborSampler;  // core/frontier_kernel.hpp
 struct StepMetrics;     // core/metrics.hpp
 
-/// Stepping-engine selection for the frontier-kernel processes (see
+/// Frontier-representation policy of the frontier-kernel processes (see
 /// docs/ARCHITECTURE.md, "Frontier kernel").
 ///
 /// Every process (COBRA, BIPS and the baselines) derives its per-vertex
 /// randomness from one 64-bit round key per round, so sparse, dense and
 /// auto are bit-for-bit identical at a fixed seed, at every lane count;
 /// the engine only selects the frontier representation (vector vs bitset
-/// vs density-switched) and so the cost.
+/// vs density-switched) and so the cost. Runs use kAuto, where the kernel
+/// picks the representation per round; tests and micro-benchmarks force
+/// kSparse or kDense as the reference.
 enum class Engine : std::uint8_t {
-  kDefault,  ///< resolve from --engine / COBRA_ENGINE at construction
+  kDefault,  ///< resolves to kAuto
   kSparse,   ///< vector frontier at every density
   kDense,    ///< bitset frontier at every density
   kAuto,     ///< sparse<->dense switch on frontier density
@@ -34,17 +36,14 @@ enum class Engine : std::uint8_t {
   kReference = kSparse,
 };
 
-/// Parses an engine name ("sparse", "dense", "auto"; "fast" is accepted as
-/// an alias for "auto"). Returns nullopt for anything else.
+/// Parses an engine name ("sparse", "dense", "auto"). Returns nullopt for
+/// anything else.
 std::optional<Engine> parse_engine(std::string_view name);
 
 /// Canonical name of an engine ("default" for Engine::kDefault).
 const char* engine_name(Engine engine);
 
-/// Resolves kDefault against the session-wide setting (the --engine flag /
-/// COBRA_ENGINE environment variable, default "auto"); other values pass
-/// through. Throws util::CheckError when the session string is not a valid
-/// engine name.
+/// Resolves kDefault to kAuto; other values pass through.
 Engine resolve_engine(Engine engine);
 
 /// Resolves a ProcessOptions::kernel_threads value: 0 defers to the
@@ -94,8 +93,8 @@ struct ProcessOptions {
   /// Probability a selection stays at the selecting vertex (see above).
   double laziness = 0.0;
 
-  /// Which stepping engine executes step(); kDefault defers to the
-  /// session-wide --engine / COBRA_ENGINE setting.
+  /// Which frontier representation step() runs in; kDefault is kAuto.
+  /// Only tests and micro-benchmarks force another.
   Engine engine = Engine::kDefault;
 
   /// In-round worker-lane count for the kernel's parallel dense scans and

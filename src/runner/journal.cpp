@@ -18,11 +18,12 @@ namespace {
 constexpr char kMagic[] = "cobra-journal";
 // v2 added the engine header field; v3 the per-cell wall time (heartbeat
 // lines ride on v3: every v3 reader already skips unknown records); v4
-// the kernel-threads header field.
-constexpr char kVersion[] = "v4";
+// the kernel-threads header field; v5 dropped the engine field (the
+// kernel picks the frontier representation itself).
+constexpr char kVersion[] = "v5";
 // Versions this build recognises but can no longer read: their shards
 // must be re-run, which is a very different failure from a corrupt file.
-constexpr const char* kRetiredVersions[] = {"v1", "v2", "v3"};
+constexpr const char* kRetiredVersions[] = {"v1", "v2", "v3", "v4"};
 
 /// Strict double parse (run-header scale): full-token match, finite and
 /// positive, same loud failure contract as parse_u64_field.
@@ -53,8 +54,7 @@ std::string format_header(const JournalHeader& h) {
   // resume/merge can compare it with plain equality.
   os << "run\t" << h.experiment << '\t' << h.shard_index << '/'
      << h.shard_count << '\t' << h.seed << '\t'
-     << std::setprecision(17) << h.scale << '\t' << h.engine << '\t'
-     << h.kernel_threads;
+     << std::setprecision(17) << h.scale << '\t' << h.kernel_threads;
   return os.str();
 }
 
@@ -144,8 +144,8 @@ std::pair<JournalHeader, std::vector<JournalEntry>> Journal::read(
                        << "line 2)");
   {
     const auto parts = split(line, '\t');
-    COBRA_CHECK_MSG(parts.size() == 7 && parts[0] == "run",
-                    path << " line 2: malformed run header (expected 7 "
+    COBRA_CHECK_MSG(parts.size() == 6 && parts[0] == "run",
+                    path << " line 2: malformed run header (expected 6 "
                          << "tab-separated 'run' fields, found '" << line
                          << "')");
     header.experiment = parts[1];
@@ -163,13 +163,12 @@ std::pair<JournalHeader, std::vector<JournalEntry>> Journal::read(
                          << "' (need 1 <= index <= count)");
     header.seed = parse_u64_field(parts[3], "seed", path, 2);
     header.scale = parse_scale_field(parts[4], path, 2);
-    header.engine = parts[5];
     header.kernel_threads = static_cast<int>(
-        parse_u64_field(parts[6], "kernel threads", path, 2));
+        parse_u64_field(parts[5], "kernel threads", path, 2));
     COBRA_CHECK_MSG(header.kernel_threads >= 1 &&
                         header.kernel_threads <= 256,
                     path << " line 2: kernel threads out of range: '"
-                         << parts[6] << "' (need 1..256)");
+                         << parts[5] << "' (need 1..256)");
   }
 
   std::vector<JournalEntry> entries;
@@ -205,7 +204,7 @@ Journal Journal::resume(const std::string& path,
   COBRA_CHECK_MSG(
       header == expected,
       "journal " << path << " was written by a different run configuration "
-                 << "(experiment/shard/seed/scale/engine/kernel-threads "
+                 << "(experiment/shard/seed/scale/kernel-threads "
                  << "mismatch); refusing to resume — delete it or rerun "
                  << "with matching flags");
 

@@ -13,16 +13,15 @@
 // Format (tab-separated, one record per line; the trailing "ok" marker
 // makes records self-delimiting, so a line torn by a crash mid-write is
 // recognisably incomplete and treated as not journaled):
-//   cobra-journal	v4
-//   run	<experiment>	<shard>/<count>	<seed>	<scale>	<engine>	<kernel threads>
+//   cobra-journal	v5
+//   run	<experiment>	<shard>/<count>	<seed>	<scale>	<kernel threads>
 //   heartbeat	<cell id>
 //   cell	<cell id>	<rows table 0>[,<rows table 1>,...]	<wall µs>	ok
 //
 // "heartbeat" lines are liveness markers appended (and flushed) when a
 // cell *starts*: the sweep supervisor tails journal growth to tell a slow
 // worker from a wedged one. Readers skip them — only "cell ... ok"
-// records count as journaled — so journals with heartbeats stay readable
-// by any v4 reader, including ones that predate heartbeats.
+// records count as journaled.
 //
 // Parsing is strict about completed records: a header or a "cell ... ok"
 // line with a non-numeric field fails loudly with the journal path, line
@@ -45,11 +44,6 @@ struct JournalHeader {
   int shard_count = 1;        ///< shard count k
   std::uint64_t seed = 0;     ///< util::global_seed() of the run
   double scale = 1.0;         ///< util::scale() of the run
-  /// util::engine() of the run. Every engine gives byte-identical
-  /// results, but the engine sets the wall-time regime (cost-model
-  /// balancing reads journaled wall times), so a resume or merge across
-  /// engine settings is refused like a seed mismatch.
-  std::string engine = "auto";
   /// util::kernel_threads() of the run — in-round frontier-kernel lanes.
   /// Results are bit-identical at every setting, but the value is still
   /// journaled and pinned so a resumed shard reproduces the original

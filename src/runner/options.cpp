@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "core/process.hpp"
 #include "util/env.hpp"
 
 namespace cobra::runner {
@@ -93,14 +92,6 @@ std::optional<std::string> parse_args(const std::vector<std::string>& args,
       if (!value || !parse_int(*value, parsed) || parsed < 1 || parsed > 256)
         return "--kernel-threads expects a lane count between 1 and 256";
       options.kernel_threads = static_cast<int>(parsed);
-    } else if (name == "--engine") {
-      const auto value = take_value();
-      const auto parsed = value ? core::parse_engine(*value) : std::nullopt;
-      if (!parsed)
-        return "--engine expects one of sparse|dense|auto";
-      // Canonical name: "--engine fast" journals as "auto", so a resume
-      // under either spelling matches.
-      options.engine = core::engine_name(*parsed);
     } else if (name == "--graphs") {
       const auto value = take_value();
       if (!value || value->empty())
@@ -193,7 +184,6 @@ void apply_env_overrides(const RunnerOptions& options) {
   if (options.threads) util::set_threads_override(*options.threads);
   if (options.kernel_threads)
     util::set_kernel_threads_override(*options.kernel_threads);
-  if (options.engine) util::set_engine_override(*options.engine);
   if (options.graphs) util::set_graphs_override(*options.graphs);
   if (options.metrics) util::set_metrics_override(*options.metrics);
 }
@@ -240,12 +230,6 @@ Options (each flag overrides its COBRA_* environment variable):
                    fan the frontier kernel's dense scans and commit merge
                    out over L lanes; results are bit-identical at every L
                    (orthogonal to --threads: worst case spawns T x L threads)
-  --engine E       frontier-kernel engine         (env COBRA_ENGINE, default auto)
-                   sparse    — counter-based draws, vector frontier
-                   dense     — counter-based draws, bitset frontier
-                   auto      — sparse<->dense switch on frontier density
-                   (every engine gives the same bytes for every process —
-                   see docs/ARCHITECTURE.md)
   --graphs LIST    comma-separated graph specs    (env COBRA_GRAPHS)
                    for spec-driven experiments (`workload`):
                    complete_N cycle_N path_N star_N hypercube_D torus_S_dD

@@ -23,10 +23,6 @@ struct RunnerOptions {
   /// serial; results are bit-identical at every setting). Orthogonal to
   /// --threads, which caps the Monte-Carlo replicate fan-out.
   std::optional<int> kernel_threads;
-  /// --engine: COBRA stepping engine (core::Engine) for every process the
-  /// selected experiments construct: sparse|dense|auto
-  /// (validated at parse time; "fast" is an alias for auto).
-  std::optional<std::string> engine;
   /// --graphs: COBRA_GRAPHS override — comma-separated graph specs
   /// (graph/spec.hpp grammar, incl. file:PATH) for spec-driven
   /// experiments such as `workload`.

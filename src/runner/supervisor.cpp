@@ -17,7 +17,6 @@
 #include <sstream>
 #include <thread>
 
-#include "core/process.hpp"
 #include "graph/binary_io.hpp"
 #include "graph/spec.hpp"
 #include "runner/journal.hpp"
@@ -374,7 +373,7 @@ SupervisorResult supervise_experiment(const ExperimentDef& def,
       partition_for(cells.size(), k, costs_us);
 
   // Pin the run configuration on the worker command line: respawned
-  // workers and the final merge must see the exact seed/scale/engine this
+  // workers and the final merge must see the exact seed/scale this
   // supervisor resolved, regardless of environment drift.
   std::vector<std::string> argv_head;
   argv_head.push_back(config.worker_binary);
@@ -391,9 +390,6 @@ SupervisorResult supervise_experiment(const ExperimentDef& def,
     argv_head.push_back("--scale");
     argv_head.push_back(os.str());
   }
-  argv_head.push_back("--engine");
-  argv_head.push_back(
-      core::engine_name(core::resolve_engine(core::Engine::kDefault)));
   argv_head.push_back("--metrics");
   argv_head.push_back(util::metrics_mode_name(util::metrics_mode()));
   // Kernel lanes never change results, but a respawned worker must still

@@ -17,7 +17,7 @@
 //     times per shard before the sweep aborts with the worker's log.
 //   * Once every shard has journaled its full slice, the supervisor runs
 //     the order-restoring merge, so the final <table>.csv files are
-//     byte-identical to an unsharded run at the same seed/scale/engine.
+//     byte-identical to an unsharded run at the same seed/scale.
 //
 // Slices are round-robin by default; pointing `costs_path` at a
 // `<experiment>.costs` file (archived by any completed run or merge)
@@ -43,8 +43,8 @@ struct SupervisorConfig {
   /// Executable to spawn as workers — the `cobra` binary itself (the CLI
   /// resolves /proc/self/exe). The supervisor appends
   /// `run <experiment> --shard i/k --resume --out-dir ...` plus pinned
-  /// `--seed/--scale/--engine` so every respawn resumes the exact run
-  /// configuration.
+  /// `--seed/--scale/--metrics/--kernel-threads` so every respawn resumes
+  /// the exact run configuration.
   std::string worker_binary;
   /// Extra argv appended to every worker command (e.g. `--threads 2`).
   std::vector<std::string> worker_args;

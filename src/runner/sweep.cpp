@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "core/metrics.hpp"
-#include "core/process.hpp"
 #include "runner/journal.hpp"
 #include "runner/layout.hpp"
 #include "runner/telemetry.hpp"
@@ -96,8 +95,7 @@ void render_console(const ExperimentDef& def,
     std::cout << "\n=== " << table.id << " ===\n"
               << table.title << "\n"
               << "seed=" << util::global_seed() << " scale=" << util::scale()
-              << " workers=" << sim::worker_count()
-              << " engine=" << util::engine() << "\n\n";
+              << " workers=" << sim::worker_count() << "\n\n";
     console.print(std::cout);
     if (t + 1 == def.tables.size()) {
       for (const CellRows& cell : cells)
@@ -333,15 +331,9 @@ SweepResult run_experiment(const ExperimentDef& def,
   const std::int64_t kill_after_cells =
       util::env_int("COBRA_SWEEP_KILL_AFTER_CELLS", 0);
 
-  // Canonical engine name (COBRA_ENGINE=fast journals as "auto", like the
-  // --engine flag); also rejects an invalid session engine before any
-  // cell runs rather than inside the first process construction.
-  const std::string engine =
-      core::engine_name(core::resolve_engine(core::Engine::kDefault));
   const JournalHeader header{def.name, config.shard_index,
                              config.shard_count, util::global_seed(),
-                             util::scale(), engine,
-                             util::kernel_threads()};
+                             util::scale(), util::kernel_threads()};
   const std::string journal_path = layout::journal(
       config.out_dir, def.name, config.shard_index, config.shard_count);
 
@@ -581,10 +573,9 @@ MergeResult merge_experiment(const ExperimentDef& def,
       first_header = header;
     } else {
       COBRA_CHECK_MSG(header.seed == first_header.seed &&
-                          header.scale == first_header.scale &&
-                          header.engine == first_header.engine,
+                          header.scale == first_header.scale,
                       def.name << " shards were run with different "
-                               << "seed/scale/engine; refusing to merge");
+                               << "seed/scale; refusing to merge");
     }
     COBRA_CHECK_MSG(header.experiment == def.name &&
                         header.shard_index == s,
@@ -594,7 +585,6 @@ MergeResult merge_experiment(const ExperimentDef& def,
   }
   util::set_seed_override(first_header.seed);
   util::set_scale_override(first_header.scale);
-  util::set_engine_override(first_header.engine);  // banner fidelity
 
   const std::vector<CellDef> cells = enumerate_cells(def);
 

@@ -2,8 +2,8 @@
 // modules use (docs/ARCHITECTURE.md, "Static analysis & the determinism
 // contract").
 //
-// The determinism contract (archives byte-identical at every lane count,
-// engine and metrics mode) leans on a handful of carefully guarded shared
+// The determinism contract (archives byte-identical at every lane count
+// and metrics mode) leans on a handful of carefully guarded shared
 // structures: the fork-join team's lowest-index exception slot, the metrics
 // registry's slot bookkeeping, the spectral and graph caches, and the sweep
 // supervisor's shard board. Clang's -Wthread-safety analysis proves, at compile time,

@@ -16,7 +16,6 @@ namespace {
 std::optional<double> scale_override;
 std::optional<std::uint64_t> seed_override;
 std::optional<int> threads_override;
-std::optional<std::string> engine_override;
 std::optional<std::string> graphs_override;
 std::optional<std::string> metrics_override;
 std::optional<int> kernel_threads_override;
@@ -31,11 +30,6 @@ void set_seed_override(std::uint64_t value) { seed_override = value; }
 
 void set_threads_override(int value) {
   threads_override = std::clamp(value, 1, 1024);
-}
-
-void set_engine_override(const std::string& value) {
-  COBRA_CHECK_MSG(!value.empty(), "engine override must not be empty");
-  engine_override = value;
 }
 
 void set_graphs_override(const std::string& value) {
@@ -55,7 +49,6 @@ void clear_env_overrides() {
   scale_override.reset();
   seed_override.reset();
   threads_override.reset();
-  engine_override.reset();
   graphs_override.reset();
   metrics_override.reset();
   kernel_threads_override.reset();
@@ -93,6 +86,11 @@ double scale() {
 std::int64_t scaled(std::int64_t base, std::int64_t min_value) {
   const double s = scale();
   const double v = static_cast<double>(base) * s;
+  // [-2^63, 2^63) is exactly the range a double converts to int64 in;
+  // outside it (or at infinity) the conversion is undefined.
+  COBRA_CHECK_MSG(v >= -0x1p63 && v < 0x1p63,
+                  "--scale/COBRA_SCALE " << s << " times base " << base
+                                         << " does not fit a 64-bit count");
   return std::max<std::int64_t>(min_value, static_cast<std::int64_t>(v));
 }
 
@@ -107,11 +105,6 @@ int max_threads() {
 std::uint64_t global_seed() {
   if (seed_override) return *seed_override;
   return static_cast<std::uint64_t>(env_int("COBRA_SEED", 20170724));
-}
-
-std::string engine() {
-  if (engine_override) return *engine_override;
-  return env_string("COBRA_ENGINE", "auto");
 }
 
 std::string graphs() {

@@ -7,9 +7,6 @@
 //   COBRA_THREADS  — max worker threads for Monte-Carlo; default: hardware
 //   COBRA_SEED     — global base seed for experiments; default 20170724
 //                    (the paper's presentation date at SPAA'17).
-//   COBRA_ENGINE   — default stepping engine for processes built with
-//                    Engine::kDefault: sparse|dense|auto;
-//                    default "auto" (the fast density-switched frontier).
 //   COBRA_GRAPHS   — comma-separated graph specs (graph/spec.hpp grammar,
 //                    incl. file:PATH for ingested .cgr graphs) consumed by
 //                    spec-driven experiments such as `workload`; default
@@ -42,7 +39,6 @@ double scale();
 void set_scale_override(double value);
 void set_seed_override(std::uint64_t value);
 void set_threads_override(int value);
-void set_engine_override(const std::string& value);
 void set_graphs_override(const std::string& value);
 void set_metrics_override(const std::string& value);
 void set_kernel_threads_override(int value);
@@ -51,6 +47,7 @@ void set_kernel_threads_override(int value);
 void clear_env_overrides();
 
 /// Scales an integer quantity by COBRA_SCALE, keeping at least `min_value`.
+/// Throws util::CheckError when base · scale does not fit an int64.
 std::int64_t scaled(std::int64_t base, std::int64_t min_value = 1);
 
 /// Worker thread cap (COBRA_THREADS), at least 1.
@@ -58,10 +55,6 @@ int max_threads();
 
 /// Base seed for experiments (COBRA_SEED).
 std::uint64_t global_seed();
-
-/// Session-wide stepping-engine name (COBRA_ENGINE / --engine), as a raw
-/// string: core::parse_engine validates it where it is consumed.
-std::string engine();
 
 /// Comma-separated graph-spec list (COBRA_GRAPHS / --graphs), raw:
 /// graph::split_graph_specs and the spec parser validate it where it is

@@ -46,6 +46,10 @@ class ForkJoinTeam {
   ForkJoinTeam(ForkJoinTeam&&) = delete;
   ForkJoinTeam& operator=(ForkJoinTeam&&) = delete;
 
+  /// run() takes fewer indices than this (2^32 - 1): the claim word keeps
+  /// the next index in 32 bits, and this value marks a closed job.
+  static constexpr std::uint64_t kCountLimit = 0xFFFFFFFFull;
+
   /// Number of worker threads (the caller is not counted).
   [[nodiscard]] std::size_t workers() const { return threads_.size(); }
 
@@ -88,7 +92,7 @@ class ForkJoinTeam {
   // holding a stale word can never claim (see drain()). Each group of
   // atomics below sits on its own cache line: idle workers spin on
   // epoch_, busy ones write claim_ and done_.
-  static constexpr std::uint64_t kClosed = 0xFFFFFFFFull;
+  static constexpr std::uint64_t kClosed = kCountLimit;
   alignas(64) std::atomic<std::uint64_t> claim_{kClosed};
 
   // The published job. Atomics (read relaxed) because a late worker may

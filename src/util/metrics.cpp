@@ -230,11 +230,18 @@ std::uint64_t MetricsSnapshot::value_of(std::string_view name) const {
 
 namespace {
 
-// Shared shape of diff and merge: a sorted two-way walk combining entries
-// with the same name; `combine` returns false to drop the entry.
-template <typename Combine, typename Lone>
-MetricsSnapshot walk(const MetricsSnapshot& a, const MetricsSnapshot& b,
-                     Combine combine, Lone lone_b) {
+bool nonzero(const MetricValue& v) {
+  if (v.kind == MetricKind::kHistogram)
+    return std::any_of(v.buckets.begin(), v.buckets.end(),
+                       [](std::uint64_t b) { return b != 0; });
+  return v.value != 0;
+}
+
+}  // namespace
+
+MetricsSnapshot merge(const MetricsSnapshot& a, const MetricsSnapshot& b) {
+  // A sorted two-way walk combining entries with the same name; entries
+  // that end up all zero drop.
   MetricsSnapshot out;
   std::size_t i = 0;
   std::size_t j = 0;
@@ -246,73 +253,30 @@ MetricsSnapshot walk(const MetricsSnapshot& a, const MetricsSnapshot& b,
     }
     if (i == a.values.size() || b.values[j].name < a.values[i].name) {
       MetricValue v = b.values[j++];
-      if (lone_b(v)) out.values.push_back(std::move(v));
+      if (nonzero(v)) out.values.push_back(std::move(v));
       continue;
     }
     MetricValue v = a.values[i++];
     const MetricValue& other = b.values[j++];
     COBRA_CHECK_MSG(v.kind == other.kind,
                     "metric '" << v.name << "' has mismatched kinds");
-    if (combine(v, other)) out.values.push_back(std::move(v));
+    switch (v.kind) {
+      case MetricKind::kCounter:
+        v.value += other.value;
+        break;
+      case MetricKind::kGauge:
+        v.value = std::max(v.value, other.value);
+        break;
+      case MetricKind::kHistogram:
+        if (v.buckets.size() < other.buckets.size())
+          v.buckets.resize(other.buckets.size(), 0);
+        for (std::size_t k = 0; k < other.buckets.size(); ++k)
+          v.buckets[k] += other.buckets[k];
+        break;
+    }
+    if (nonzero(v)) out.values.push_back(std::move(v));
   }
   return out;
-}
-
-bool nonzero(const MetricValue& v) {
-  if (v.kind == MetricKind::kHistogram)
-    return std::any_of(v.buckets.begin(), v.buckets.end(),
-                       [](std::uint64_t b) { return b != 0; });
-  return v.value != 0;
-}
-
-}  // namespace
-
-MetricsSnapshot diff(const MetricsSnapshot& after,
-                     const MetricsSnapshot& before) {
-  // `after` drives: entries only in `before` subtract to <= 0 and drop.
-  return walk(
-      after, before,
-      [](MetricValue& v, const MetricValue& prev) {
-        switch (v.kind) {
-          case MetricKind::kCounter:
-            v.value = v.value > prev.value ? v.value - prev.value : 0;
-            break;
-          case MetricKind::kGauge:
-            break;  // keep `after`'s high-water mark
-          case MetricKind::kHistogram:
-            for (std::size_t b = 0;
-                 b < v.buckets.size() && b < prev.buckets.size(); ++b)
-              v.buckets[b] = v.buckets[b] > prev.buckets[b]
-                                 ? v.buckets[b] - prev.buckets[b]
-                                 : 0;
-            break;
-        }
-        return nonzero(v);
-      },
-      [](MetricValue&) { return false; });
-}
-
-MetricsSnapshot merge(const MetricsSnapshot& a, const MetricsSnapshot& b) {
-  return walk(
-      a, b,
-      [](MetricValue& v, const MetricValue& other) {
-        switch (v.kind) {
-          case MetricKind::kCounter:
-            v.value += other.value;
-            break;
-          case MetricKind::kGauge:
-            v.value = std::max(v.value, other.value);
-            break;
-          case MetricKind::kHistogram:
-            if (v.buckets.size() < other.buckets.size())
-              v.buckets.resize(other.buckets.size(), 0);
-            for (std::size_t b = 0; b < other.buckets.size(); ++b)
-              v.buckets[b] += other.buckets[b];
-            break;
-        }
-        return nonzero(v);
-      },
-      [](MetricValue& v) { return nonzero(v); });
 }
 
 // ---------------------------------------------------------------------------
@@ -392,19 +356,6 @@ std::string snapshot_to_json(const MetricsSnapshot& snapshot) {
   append_section(out, "gauges", snapshot, MetricKind::kGauge, first);
   append_section(out, "histograms", snapshot, MetricKind::kHistogram, first);
   out.push_back('}');
-  return out;
-}
-
-std::string snapshot_to_jsonl(const MetricsSnapshot& snapshot) {
-  std::string body = snapshot_to_json(snapshot);
-  std::string out = "{\"v\":";
-  out += std::to_string(kMetricsJsonlVersion);
-  if (body.size() > 2) {  // non-empty object: splice after the version
-    out.push_back(',');
-    out.append(body, 1, body.size() - 1);
-  } else {
-    out.push_back('}');
-  }
   return out;
 }
 
@@ -642,15 +593,6 @@ MetricsSnapshot snapshot_from_json_value(const JsonValue& doc) {
 
 MetricsSnapshot snapshot_from_json(std::string_view json) {
   return snapshot_from_json_value(parse_json(json));
-}
-
-MetricsSnapshot snapshot_from_jsonl(std::string_view line) {
-  const JsonValue doc = parse_json(line);
-  COBRA_CHECK_MSG(doc.type == JsonValue::Type::kObject,
-                  "metrics line is not a JSON object");
-  COBRA_CHECK_MSG(doc.uint_or("v", 0) == kMetricsJsonlVersion,
-                  "unsupported metrics line version");
-  return snapshot_from_json_value(doc);
 }
 
 }  // namespace cobra::util

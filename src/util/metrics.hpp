@@ -78,7 +78,7 @@ using MetricId = std::uint32_t;
 struct MetricValue {
   /// Registered name (e.g. "kernel.rounds").
   std::string name;
-  /// What the slots accumulate (determines diff/merge semantics).
+  /// What the slots accumulate (determines merge semantics).
   MetricKind kind = MetricKind::kCounter;
   /// Counter sum or gauge high-water mark; unused for histograms.
   std::uint64_t value = 0;
@@ -101,11 +101,6 @@ struct MetricsSnapshot {
   std::uint64_t value_of(std::string_view name) const;
 };
 
-/// Snapshot difference `after - before` (counter and histogram values
-/// subtract, saturating at 0; gauges keep `after`'s high-water mark).
-MetricsSnapshot diff(const MetricsSnapshot& after,
-                     const MetricsSnapshot& before);
-
 /// Snapshot merge (counters/histograms add, gauges max). Commutative and
 /// associative; the empty snapshot is the identity.
 MetricsSnapshot merge(const MetricsSnapshot& a, const MetricsSnapshot& b);
@@ -125,16 +120,6 @@ struct JsonValue;
 /// Same, from an already-parsed JSON object — for callers (the runner
 /// sidecar) that embed a snapshot inside a larger document.
 MetricsSnapshot snapshot_from_json_value(const JsonValue& value);
-
-/// Version tag of the metrics JSONL line format.
-inline constexpr int kMetricsJsonlVersion = 1;
-
-/// Serializes a snapshot as one versioned JSONL line:
-/// `{"v":1,"counters":...}` (no trailing newline).
-std::string snapshot_to_jsonl(const MetricsSnapshot& snapshot);
-
-/// Parses a line produced by snapshot_to_jsonl, checking the version.
-MetricsSnapshot snapshot_from_jsonl(std::string_view line);
 
 /// The process-wide metric registry. Registration (name → slot id) is
 /// mutex-protected and idempotent; updates go to thread-local slot

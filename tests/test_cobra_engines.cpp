@@ -3,7 +3,8 @@
 //   * sparse, dense and auto are bit-for-bit identical at a fixed seed —
 //     same visit sequence, same frontier sets, same counters — because all
 //     per-vertex randomness is a pure function of (round key, vertex);
-//   * only sparse|dense|auto (and the alias fast) parse as engine names;
+//   * only sparse|dense|auto parse as engine names, and the default is
+//     auto;
 //   * the push sampler (uniform slots, alias tables when lazy) reproduces
 //     the push-destination distribution, including laziness.
 #include <gtest/gtest.h>
@@ -22,7 +23,6 @@
 #include "graph/random_generators.hpp"
 #include "rng/stream.hpp"
 #include "util/assert.hpp"
-#include "util/env.hpp"
 
 namespace cobra::core {
 namespace {
@@ -253,34 +253,15 @@ TEST(CobraEngines, SharedSamplerMustMatchGraphAndLaziness) {
   EXPECT_THROW(CobraProcess(g, lazy), util::CheckError);
 }
 
-TEST(CobraEngines, DefaultEngineResolvesFromSession) {
+TEST(CobraEngines, DefaultEngineResolvesToAuto) {
+  // The kernel picks the representation per round; only an explicit
+  // option (tests, micro-benchmarks) forces one.
   const graph::Graph g = graph::cycle(8);
-  util::clear_env_overrides();
-  EXPECT_EQ(CobraProcess(g).engine(), Engine::kAuto);  // session default
-  util::set_engine_override("dense");
-  EXPECT_EQ(CobraProcess(g).engine(), Engine::kDense);
-  util::set_engine_override("fast");
+  EXPECT_EQ(resolve_engine(Engine::kDefault), Engine::kAuto);
   EXPECT_EQ(CobraProcess(g).engine(), Engine::kAuto);
-  // The retired sequential engine's name fails loudly rather than
-  // silently selecting another protocol.
-  for (const char* bad : {"bogus", "reference"}) {
-    util::set_engine_override(bad);
-    try {
-      CobraProcess{g};
-      ADD_FAILURE() << bad << " was accepted";
-    } catch (const util::CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find("sparse|dense|auto"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-  util::clear_env_overrides();
-  // Explicit options always win over the session setting.
-  util::set_engine_override("dense");
   ProcessOptions opt;
   opt.engine = Engine::kSparse;
   EXPECT_EQ(CobraProcess(g, opt).engine(), Engine::kSparse);
-  util::clear_env_overrides();
 }
 
 TEST(CobraEngines, ParseAndNameRoundTrip) {
@@ -289,7 +270,7 @@ TEST(CobraEngines, ParseAndNameRoundTrip) {
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, e);
   }
-  EXPECT_EQ(parse_engine("fast"), Engine::kAuto);
+  EXPECT_FALSE(parse_engine("fast").has_value());
   EXPECT_FALSE(parse_engine("default").has_value());
   EXPECT_FALSE(parse_engine("").has_value());
   EXPECT_FALSE(parse_engine("reference").has_value());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "util/assert.hpp"
+#include "util/fork_join_team.hpp"
 
 namespace cobra::core {
 namespace {
@@ -72,6 +74,29 @@ TEST(Estimators, GrowthCurveStartsAtOneAndReachesN) {
   EXPECT_NEAR(curve.back(), 32.0, 1e-9);  // absorbing full state
   // Curve should be (weakly) increasing in expectation for K_n.
   EXPECT_GT(curve[5], curve[0]);
+}
+
+TEST(Estimators, RefuseReplicateCountsTheFanOutCannotClaim) {
+  // Each count is refused before any per-replicate vector is allocated
+  // (2^32 - 1 doubles would be 32 GiB).
+  const graph::Graph g = graph::complete(4);
+  for (const std::uint64_t reps :
+       {std::uint64_t{0}, util::ForkJoinTeam::kCountLimit,
+        std::uint64_t{400'000'000'000}}) {
+    EXPECT_THROW(estimate_cobra_cover(g, ProcessOptions{}, 0, reps, 1, 10),
+                 util::CheckError)
+        << reps;
+    EXPECT_THROW(
+        estimate_cobra_hit(g, ProcessOptions{}, 0, 1, reps, 1, 10),
+        util::CheckError)
+        << reps;
+    EXPECT_THROW(estimate_bips_infection(g, BipsOptions{}, 0, reps, 1, 10),
+                 util::CheckError)
+        << reps;
+    EXPECT_THROW(average_bips_growth(g, BipsOptions{}, 0, 10, reps, 1),
+                 util::CheckError)
+        << reps;
+  }
 }
 
 }  // namespace

@@ -247,7 +247,7 @@ TEST(KernelParallel, PushGossipBitForBitAcrossThreadCounts) {
 TEST(KernelParallel, PullAndPushPullGossipBitForBitAcrossThreadCounts) {
   for (const graph::Graph& g : fixture_graphs()) {
     if (g.num_vertices() < 2) continue;
-    for (const Engine engine : {Engine::kDense, Engine::kAuto}) {
+    for (const Engine engine : kFastEngines) {
       baselines::BaselineOptions serial_opt;
       serial_opt.engine = engine;
       serial_opt.kernel_threads = 1;
@@ -321,7 +321,7 @@ TEST(KernelParallel, ThrowingLaneIsRethrownAfterEveryLaneJoins) {
   ASSERT_TRUE(kernel.begin_round(1.0));
   std::atomic<int> calls{0};
   try {
-    kernel.scatter_vertex_scan([&](auto& lane, graph::VertexId u) {
+    kernel.vertex_scan<Sink::kCoalescing>([&](auto& lane, graph::VertexId u) {
       if (u == 64 || u == 128)
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       ++calls;
@@ -336,7 +336,7 @@ TEST(KernelParallel, ThrowingLaneIsRethrownAfterEveryLaneJoins) {
   EXPECT_EQ(calls.load(), 1 + 64 + 64 + 9);
 
   ASSERT_TRUE(kernel.begin_round(1.0));
-  kernel.scatter_vertex_scan(
+  kernel.vertex_scan<Sink::kCoalescing>(
       [](auto& lane, graph::VertexId u) { lane.emit(u); });
   kernel.commit(FrontierKernel::Commit::kReplace);
   EXPECT_EQ(kernel.frontier_size(), 256u);

@@ -415,7 +415,7 @@ TEST_F(SweepTest, OldJournalVersionsAreRefusedWithAnActionableMessage) {
         << "cell\tc0\t1,0\tok\n";
   }
   expect_check_message([&] { Journal::read(path); },
-                       {path, "v2", "v4", "re-run"});
+                       {path, "v2", "v5", "re-run"});
 
   // v3 (pre kernel-threads header field) is retired the same way.
   {
@@ -425,7 +425,17 @@ TEST_F(SweepTest, OldJournalVersionsAreRefusedWithAnActionableMessage) {
         << "cell\tc0\t1,0\t5\tok\n";
   }
   expect_check_message([&] { Journal::read(path); },
-                       {path, "v3", "v4", "re-run"});
+                       {path, "v3", "v5", "re-run"});
+
+  // v4 (with the retired engine header field) is retired the same way.
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "cobra-journal\tv4\n"
+        << "run\tsynthetic\t1/1\t12345\t1\tauto\t1\n"
+        << "cell\tc0\t1,0\t5\tok\n";
+  }
+  expect_check_message([&] { Journal::read(path); },
+                       {path, "v4", "v5", "re-run"});
 
   // An unknown (future?) version is reported as such, not as garbage.
   {
@@ -451,7 +461,7 @@ TEST_F(SweepTest, TruncatedOrForeignHeadersFailWithThePath) {
 
   {
     std::ofstream out(path, std::ios::trunc);
-    out << "cobra-journal\tv4\n";  // magic only, no run header
+    out << "cobra-journal\tv5\n";  // magic only, no run header
   }
   expect_check_message([&] { Journal::read(path); },
                        {path, "missing run header"});
@@ -461,29 +471,29 @@ TEST_F(SweepTest, GarbageHeaderFieldsFailWithLineAndToken) {
   const std::string path = (dir_ / "garbage.journal").string();
   const auto with_header = [&](const std::string& run_line) {
     std::ofstream out(path, std::ios::trunc);
-    out << "cobra-journal\tv4\n" << run_line << '\n';
+    out << "cobra-journal\tv5\n" << run_line << '\n';
   };
 
   // A corrupted shard spec must not silently become shard 0/0.
-  with_header("run\tsynthetic\txof4\t12345\t1\tauto\t1");
+  with_header("run\tsynthetic\txof4\t12345\t1\t1");
   expect_check_message([&] { Journal::read(path); },
                        {path, "line 2", "shard spec", "xof4"});
-  with_header("run\tsynthetic\tx/4\t12345\t1\tauto\t1");
+  with_header("run\tsynthetic\tx/4\t12345\t1\t1");
   expect_check_message([&] { Journal::read(path); },
                        {path, "line 2", "shard index", "x"});
-  with_header("run\tsynthetic\t5/4\t12345\t1\tauto\t1");
+  with_header("run\tsynthetic\t5/4\t12345\t1\t1");
   expect_check_message([&] { Journal::read(path); },
                        {path, "line 2", "5/4"});
-  with_header("run\tsynthetic\t1/1\t12a45\t1\tauto\t1");
+  with_header("run\tsynthetic\t1/1\t12a45\t1\t1");
   expect_check_message([&] { Journal::read(path); },
                        {path, "line 2", "seed", "12a45"});
-  with_header("run\tsynthetic\t1/1\t12345\t-1\tauto\t1");
+  with_header("run\tsynthetic\t1/1\t12345\t-1\t1");
   expect_check_message([&] { Journal::read(path); },
                        {path, "line 2", "scale", "-1"});
-  with_header("run\tsynthetic\t1/1\t12345\t1\tauto\tx8");
+  with_header("run\tsynthetic\t1/1\t12345\t1\tx8");
   expect_check_message([&] { Journal::read(path); },
                        {path, "line 2", "kernel threads", "x8"});
-  with_header("run\tsynthetic\t1/1\t12345\t1\tauto\t0");
+  with_header("run\tsynthetic\t1/1\t12345\t1\t0");
   expect_check_message([&] { Journal::read(path); },
                        {path, "line 2", "kernel threads", "1..256"});
   with_header("run\tsynthetic\t1/1");
@@ -497,16 +507,16 @@ TEST_F(SweepTest, CorruptCompletedCellRecordsFailLoudly) {
   const std::string path = (dir_ / "corrupt.journal").string();
   {
     std::ofstream out(path, std::ios::trunc);
-    out << "cobra-journal\tv4\n"
-        << "run\tsynthetic\t1/1\t12345\t1\tauto\t1\n"
+    out << "cobra-journal\tv5\n"
+        << "run\tsynthetic\t1/1\t12345\t1\t1\n"
         << "cell\tc0\t1x,0\t5\tok\n";
   }
   expect_check_message([&] { Journal::read(path); },
                        {path, "line 3", "row count", "1x"});
   {
     std::ofstream out(path, std::ios::trunc);
-    out << "cobra-journal\tv4\n"
-        << "run\tsynthetic\t1/1\t12345\t1\tauto\t1\n"
+    out << "cobra-journal\tv5\n"
+        << "run\tsynthetic\t1/1\t12345\t1\t1\n"
         << "cell\tc0\t1,0\tfast\tok\n";
   }
   expect_check_message([&] { Journal::read(path); },
@@ -602,29 +612,6 @@ TEST_F(SweepTest, MergeRefusesMixedSeeds) {
   util::set_seed_override(54321);
   run_experiment(def, config("mixed", 2, 2));
   EXPECT_THROW(merge_experiment(def, (dir_ / "mixed").string(), nullptr),
-               util::CheckError);
-}
-
-TEST_F(SweepTest, ResumeAndMergeRefuseMixedEngines) {
-  // The stepping engine is part of the run configuration. Every engine
-  // gives the same bytes, but each has its own wall-time regime, which the
-  // cost model reads from the journal — so the journal pins it exactly
-  // like seed and scale.
-  const ExperimentDef def = make_test_experiment();
-  SweepConfig first = config("engines");
-  first.max_cells = 1;
-  run_experiment(def, first);
-
-  util::set_engine_override("sparse");  // session default is "auto"
-  SweepConfig resume = config("engines");
-  resume.resume = true;
-  EXPECT_THROW(run_experiment(def, resume), util::CheckError);
-
-  run_experiment(def, config("engines2", 1, 2));
-  util::clear_env_overrides();
-  util::set_seed_override(12345);  // restore the fixture seed
-  run_experiment(def, config("engines2", 2, 2));
-  EXPECT_THROW(merge_experiment(def, (dir_ / "engines2").string(), nullptr),
                util::CheckError);
 }
 

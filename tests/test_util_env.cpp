@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 #include "util/assert.hpp"
 
@@ -16,7 +18,6 @@ class EnvTest : public ::testing::Test {
     unsetenv("COBRA_SCALE");
     unsetenv("COBRA_THREADS");
     unsetenv("COBRA_SEED");
-    unsetenv("COBRA_ENGINE");
     clear_env_overrides();
   }
 };
@@ -58,6 +59,26 @@ TEST_F(EnvTest, ScaledAppliesMultiplierAndFloor) {
   EXPECT_EQ(scaled(100, 5), 300);
 }
 
+TEST_F(EnvTest, ScaledRefusesProductsBeyondInt64) {
+  // 400 · 1e18 has no int64 value: converting it was undefined behaviour
+  // that came out as the floor, so a run silently shrank to 64 replicates.
+  set_scale_override(1e18);
+  try {
+    (void)scaled(400, 64);
+    ADD_FAILURE() << "an out-of-range product was accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--scale/COBRA_SCALE"), std::string::npos) << what;
+    EXPECT_NE(what.find("base 400"), std::string::npos) << what;
+    EXPECT_NE(what.find("env.cpp"), std::string::npos) << what;
+  }
+  set_scale_override(std::numeric_limits<double>::infinity());
+  EXPECT_THROW((void)scaled(1), CheckError);
+  // Large products that fit are returned exactly.
+  set_scale_override(1e9);
+  EXPECT_EQ(scaled(400, 64), 400'000'000'000);
+}
+
 TEST_F(EnvTest, MaxThreadsAtLeastOne) {
   setenv("COBRA_THREADS", "0", 1);
   EXPECT_GE(max_threads(), 1);
@@ -68,22 +89,6 @@ TEST_F(EnvTest, MaxThreadsAtLeastOne) {
 TEST_F(EnvTest, GlobalSeedDefault) {
   unsetenv("COBRA_SEED");
   EXPECT_EQ(global_seed(), 20170724ull);
-}
-
-TEST_F(EnvTest, EngineDefaultsToAuto) {
-  unsetenv("COBRA_ENGINE");
-  EXPECT_EQ(engine(), "auto");
-  setenv("COBRA_ENGINE", "dense", 1);
-  EXPECT_EQ(engine(), "dense");
-}
-
-TEST_F(EnvTest, EngineOverrideShadowsEnvironment) {
-  setenv("COBRA_ENGINE", "sparse", 1);
-  set_engine_override("dense");
-  EXPECT_EQ(engine(), "dense");
-  clear_env_overrides();
-  EXPECT_EQ(engine(), "sparse");
-  EXPECT_THROW(set_engine_override(""), CheckError);
 }
 
 TEST_F(EnvTest, OverridesShadowEnvironmentUntilCleared) {

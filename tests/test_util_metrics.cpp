@@ -1,7 +1,7 @@
 // The telemetry substrate: metrics-mode parsing, registry slot semantics
 // (thread-local, drained at quiescence, exited threads fold into the
-// retired slots), snapshot diff/merge monoid laws, and the canonical
-// JSON/JSONL serializer whose write → parse → re-emit round trip is
+// retired slots), snapshot merge monoid laws, and the canonical
+// JSON serializer whose write → parse → re-emit round trip is
 // byte-identical.
 #include "util/metrics.hpp"
 
@@ -138,24 +138,6 @@ MetricsSnapshot make_snapshot(
   return snap;
 }
 
-TEST(MetricsSnapshot, DiffSubtractsCountersKeepsGauges) {
-  const MetricsSnapshot before = make_snapshot(
-      {{"a", MetricKind::kCounter, 10}, {"p", MetricKind::kGauge, 9}});
-  const MetricsSnapshot after = make_snapshot(
-      {{"a", MetricKind::kCounter, 15},
-       {"b", MetricKind::kCounter, 2},
-       {"p", MetricKind::kGauge, 12}});
-  const MetricsSnapshot d = diff(after, before);
-  EXPECT_EQ(d.value_of("a"), 5u);
-  EXPECT_EQ(d.value_of("b"), 2u);
-  EXPECT_EQ(d.value_of("p"), 12u);  // gauges keep `after`'s mark
-  // Subtraction saturates at zero and zero entries drop.
-  const MetricsSnapshot z =
-      diff(before, make_snapshot({{"a", MetricKind::kCounter, 99}}));
-  EXPECT_EQ(z.find("a"), nullptr);
-  EXPECT_EQ(z.value_of("p"), 9u);
-}
-
 TEST(MetricsSnapshot, MergeIsACommutativeMonoid) {
   const MetricsSnapshot a = make_snapshot(
       {{"c", MetricKind::kCounter, 3},
@@ -188,11 +170,10 @@ TEST(MetricsSnapshot, MergeRejectsKindMismatch) {
   const MetricsSnapshot a = make_snapshot({{"m", MetricKind::kCounter, 1}});
   const MetricsSnapshot b = make_snapshot({{"m", MetricKind::kGauge, 1}});
   EXPECT_THROW(merge(a, b), CheckError);
-  EXPECT_THROW(diff(a, b), CheckError);
 }
 
 // ---------------------------------------------------------------------------
-// Canonical JSON / JSONL
+// Canonical JSON
 
 TEST(MetricsJson, RoundTripIsByteIdentical) {
   const MetricsSnapshot snap = make_snapshot(
@@ -202,16 +183,11 @@ TEST(MetricsJson, RoundTripIsByteIdentical) {
        {"rng.alias_builds", MetricKind::kCounter, 3}});
   const std::string json = snapshot_to_json(snap);
   EXPECT_EQ(snapshot_to_json(snapshot_from_json(json)), json);
-
-  const std::string line = snapshot_to_jsonl(snap);
-  EXPECT_EQ(line.rfind("{\"v\":1,", 0), 0u) << line;
-  EXPECT_EQ(snapshot_to_jsonl(snapshot_from_jsonl(line)), line);
 }
 
 TEST(MetricsJson, EmptySnapshotAndSections) {
   EXPECT_EQ(snapshot_to_json(MetricsSnapshot{}), "{}");
-  EXPECT_EQ(snapshot_to_jsonl(MetricsSnapshot{}), "{\"v\":1}");
-  EXPECT_TRUE(snapshot_from_jsonl("{\"v\":1}").empty());
+  EXPECT_TRUE(snapshot_from_json("{}").empty());
   // A counters-only snapshot omits the gauge/histogram sections.
   const std::string json = snapshot_to_json(
       make_snapshot({{"c", MetricKind::kCounter, 1}}));
@@ -227,8 +203,6 @@ TEST(MetricsJson, RejectsMalformedInput) {
   EXPECT_THROW(
       snapshot_from_json("{\"histograms\":{\"h\":{\"999\":1}}}"),
       CheckError);
-  EXPECT_THROW(snapshot_from_jsonl("{\"v\":2}"), CheckError);  // bad version
-  EXPECT_THROW(snapshot_from_jsonl("{}"), CheckError);         // no version
 }
 
 TEST(MetricsJson, QuoteEscapes) {
