@@ -83,14 +83,13 @@ TEST(RunnerOptions, ParsesEverySpaceSeparatedFlag) {
 
 TEST(RunnerOptions, EngineFlagValidatedAtParseTime) {
   // The kernel picks the frontier representation itself: every spelling
-  // of the retired --engine flag, including the retired "reference" and
-  // "fast" names, is an unknown flag rather than silently ignored.
+  // of the retired --engine flag is an unknown flag rather than silently
+  // ignored.
   for (const std::vector<std::string>& args :
        std::vector<std::vector<std::string>>{{"--engine", "sparse"},
                                              {"--engine", "dense"},
                                              {"--engine", "auto"},
                                              {"--engine", "fast"},
-                                             {"--engine", "reference"},
                                              {"--engine=dense"},
                                              {"--engine"}}) {
     RunnerOptions o;
@@ -100,6 +99,16 @@ TEST(RunnerOptions, EngineFlagValidatedAtParseTime) {
         << *error;
   }
   EXPECT_EQ(usage().find("--engine"), std::string::npos);
+}
+
+TEST(RunnerOptions, EngineReferenceIsAParseError) {
+  // "reference" named the retired sequential draw protocol: an old command
+  // line must fail, not silently run another protocol.
+  RunnerOptions o;
+  const auto error = parse({"--engine", "reference"}, o);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_NE(error->find("unknown flag: --engine"), std::string::npos)
+      << *error;
 }
 
 TEST(RunnerOptions, KernelThreadsFlagValidatedAtParseTime) {

@@ -6,6 +6,7 @@
 #include <limits>
 #include <string>
 
+#include "core/process.hpp"
 #include "util/assert.hpp"
 
 namespace cobra::util {
@@ -89,6 +90,14 @@ TEST_F(EnvTest, MaxThreadsAtLeastOne) {
 TEST_F(EnvTest, GlobalSeedDefault) {
   unsetenv("COBRA_SEED");
   EXPECT_EQ(global_seed(), 20170724ull);
+}
+
+TEST_F(EnvTest, EngineDefaultsToAuto) {
+  // COBRA_ENGINE is retired: the kernel picks the frontier representation
+  // itself, so a stale variable in the environment selects nothing.
+  setenv("COBRA_ENGINE", "dense", 1);
+  EXPECT_EQ(core::resolve_engine(core::Engine::kDefault), core::Engine::kAuto);
+  unsetenv("COBRA_ENGINE");
 }
 
 TEST_F(EnvTest, OverridesShadowEnvironmentUntilCleared) {
