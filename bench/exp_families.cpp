@@ -48,7 +48,7 @@ void run_complete(std::uint32_t p, runner::CellContext& ctx) {
 void run_expander(std::uint32_t r, runner::CellContext& ctx) {
   const std::uint64_t seed = util::global_seed();
   const std::uint64_t reps = sim::default_replicates(24);
-  auto n = static_cast<graph::VertexId>(util::scaled(4096, 256));
+  auto n = util::scaled_u32(4096, 256);
   if (r % 2 == 1) n += n % 2;  // n*r must be even
   rng::Rng grng = rng::make_stream(rng::derive_seed(seed, 41), r);
   const graph::Graph g = graph::connected_random_regular(n, r, grng);

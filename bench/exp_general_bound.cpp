@@ -66,10 +66,8 @@ const std::vector<Family>& families() {
 }
 
 std::vector<graph::VertexId> sizes() {
-  return {static_cast<graph::VertexId>(util::scaled(256, 64)),
-          static_cast<graph::VertexId>(util::scaled(512, 128)),
-          static_cast<graph::VertexId>(util::scaled(1024, 256)),
-          static_cast<graph::VertexId>(util::scaled(2048, 512))};
+  return {util::scaled_u32(256, 64), util::scaled_u32(512, 128),
+          util::scaled_u32(1024, 256), util::scaled_u32(2048, 512)};
 }
 
 void run_point(std::size_t family_index, graph::VertexId n,

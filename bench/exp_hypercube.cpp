@@ -75,7 +75,7 @@ runner::ExperimentDef make_hypercube() {
       {"d", "n", "plain mean", "lazy mean", "lazy p95", "thm1.2~log^3",
        "podc16~log^4", "spaa16~log^8", "lazy p95/thm1.2"}}};
   def.cells = [] {
-    const auto d_max = static_cast<std::uint32_t>(util::scaled(13, 9));
+    const std::uint32_t d_max = util::scaled_u32(13, 9);
     std::vector<runner::CellDef> cells;
     for (std::uint32_t d = 4; d <= d_max; ++d) {
       cells.push_back({"d=" + std::to_string(d), "",

@@ -67,7 +67,7 @@ std::vector<Case> cases() {
 void run_case(std::size_t index, runner::CellContext& ctx) {
   const std::uint64_t seed = util::global_seed();
   const std::uint64_t reps = sim::default_replicates(24);
-  const auto n_base = static_cast<graph::VertexId>(util::scaled(1024, 128));
+  const auto n_base = util::scaled_u32(1024, 128);
   const Case c = cases()[index];
 
   rng::Rng grng = rng::make_stream(rng::derive_seed(seed, 21), index);

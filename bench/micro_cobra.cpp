@@ -10,6 +10,10 @@
 //   BM_CobraStepAtDensity — one round from a controlled frontier density
 //                           (per mille of n), isolating the sparse<->dense
 //                           crossover on the largest random-regular graph;
+//   BM_CobraStepLanes     — a dense round at 1/2/4 lanes on random
+//                           8-regular graphs of 2^9 to 2^16 vertices:
+//                           where lanes start to pay, i.e. the frontier
+//                           kernel's per-lane scan floor;
 //   BM_CobraFullCover     — end-to-end cover runs (what experiments pay).
 //
 // The committed baseline bench_results/BENCH_step.json is produced by this
@@ -146,6 +150,69 @@ BENCHMARK(BM_CobraStepThreads)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_CobraStepLanes(benchmark::State& state) {
+  // The lane-count calibration sweep: one dense round of a random
+  // 8-regular graph on 2^range(0) vertices at range(1) lanes, from a
+  // saturated frontier (range(2) = 0: ~55 active vertices per bitset
+  // word, the most work a scan word carries) or from a sparse one seeded
+  // at range(2) per mille of n, which one untimed round doubles (16 lands
+  // near the auto switch's dense-entry density 1/32, ~2 active vertices
+  // per word: the least work a dense round's word carries). Where lanes
+  // start to pay at both densities sets the frontier kernel's per-lane
+  // scan floor (core::kScanLaneMinEntries, in adjacency entries: 512 per
+  // word here); with the floor in place, passes narrower than two floors
+  // run like lanes_1. Timed in wall time, like BM_CobraStepThreads.
+  const int log_n = static_cast<int>(state.range(0));
+  const int lanes = static_cast<int>(state.range(1));
+  const auto per_mille = static_cast<std::uint32_t>(state.range(2));
+  static std::map<int, graph::Graph>& cache =
+      *new std::map<int, graph::Graph>;
+  auto it = cache.find(log_n);
+  if (it == cache.end()) {
+    rng::Rng grng = rng::make_stream(4242, static_cast<std::uint64_t>(log_n));
+    it = cache
+             .emplace(log_n, graph::connected_random_regular(
+                                 graph::VertexId{1} << log_n, 8, grng))
+             .first;
+  }
+  const graph::Graph& g = it->second;
+  state.SetLabel("regular_" + std::to_string(g.num_vertices()) +
+                 "_r8/dense/lanes_" + std::to_string(lanes) +
+                 (per_mille == 0 ? std::string("/saturated")
+                                 : "/density_" + std::to_string(per_mille) +
+                                       "permille"));
+  ProcessOptions opt;
+  opt.engine = Engine::kDense;
+  opt.kernel_threads = lanes;
+  CobraProcess p(g, opt);
+  rng::Rng rng = rng::make_stream(2, 0);
+  std::vector<graph::VertexId> starts;
+  if (per_mille != 0)
+    for (std::uint32_t i = 0; i < g.num_vertices(); i += 1000 / per_mille)
+      starts.push_back(i);
+  p.reset(graph::VertexId{0});
+  if (per_mille == 0) p.run_until_cover(rng, 100'000'000);  // saturate
+  std::uint64_t pushes = 0;
+  for (auto _ : state) {
+    if (per_mille != 0) {
+      state.PauseTiming();
+      p.reset(std::span<const graph::VertexId>(starts.data(), starts.size()));
+      p.step(rng);  // leave the start vector for the bitset
+      state.ResumeTiming();
+    }
+    pushes += p.num_active();
+    p.step(rng);
+  }
+  benchmark::DoNotOptimize(p.num_active());
+  state.SetItemsProcessed(static_cast<std::int64_t>(pushes));
+  state.counters["words"] =
+      static_cast<double>((g.num_vertices() + 63) / 64);
+}
+BENCHMARK(BM_CobraStepLanes)
+    ->ArgsProduct({benchmark::CreateDenseRange(9, 16, 1), {1, 2, 4}, {0, 16}})
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

@@ -82,6 +82,7 @@ FrontierKernel::FrontierKernel(const graph::Graph& g, const Config& config)
       engine_(config.engine),
       track_visited_(config.track_visited),
       threads_(std::clamp(config.kernel_threads, 1, 256)),
+      avg_degree_(g.degree_sum() / g.num_vertices()),
       metrics_(config.metrics != nullptr ? config.metrics
                                          : session_step_metrics()) {
   COBRA_CHECK_MSG(engine_ != Engine::kDefault,
@@ -155,26 +156,19 @@ void FrontierKernel::ensure_lane_scratch(std::size_t count) {
       scratch.resize(graph_->num_vertices());
 }
 
-namespace {
-/// Word-count floor below which the commit merge stays on the calling
-/// thread: fan-out latency dominates under ~64 KiB of bitset. Never
-/// affects results — the per-range popcount sums are exact whatever the
-/// split.
-constexpr std::size_t kParallelCommitMinWords = 1024;
-}  // namespace
-
 void FrontierKernel::merge_visited_parallel(std::size_t words,
                                             std::uint64_t* newly,
                                             std::uint64_t* active) {
   const std::uint64_t* next = next_frontier_.words().data();
   std::uint64_t* visited = visited_.data();
-  if (threads_ <= 1 || words < kParallelCommitMinWords) {
+  const std::size_t lanes =
+      lane_count(words, threads_, Pass::kCommit, avg_degree_);
+  if (lanes <= 1) {
     util::simd::merge_visited_words(next, visited, words, newly, active);
     return;
   }
   // lane_sums_ holds lane i's first visits at 2i and its active count at
   // 2i + 1; sized once, so the parallel commit allocates nothing.
-  const std::size_t lanes = lane_count(words, threads_);
   if (lane_sums_.size() < 2 * lanes) lane_sums_.resize(2 * lanes);
   fork_join(lanes, [&](std::size_t i) {
     const WordRange r = word_range(words, lanes, i);
@@ -193,9 +187,9 @@ void FrontierKernel::merge_visited_parallel(std::size_t words,
 std::uint64_t FrontierKernel::or_count_parallel(std::uint64_t* dst_words,
                                                 std::size_t words) {
   const std::uint64_t* next = next_frontier_.words().data();
-  if (threads_ <= 1 || words < kParallelCommitMinWords)
-    return util::simd::or_count_new_words(next, dst_words, words);
-  const std::size_t lanes = lane_count(words, threads_);
+  const std::size_t lanes =
+      lane_count(words, threads_, Pass::kCommit, avg_degree_);
+  if (lanes <= 1) return util::simd::or_count_new_words(next, dst_words, words);
   if (lane_sums_.size() < lanes) lane_sums_.resize(lanes);
   fork_join(lanes, [&](std::size_t i) {
     const WordRange r = word_range(words, lanes, i);

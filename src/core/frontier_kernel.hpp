@@ -62,22 +62,24 @@
 // picks between them with its own cost score.
 //
 // In-round parallelism (docs/ARCHITECTURE.md, "Frontier kernel"): dense
-// rounds can fan their scans and the commit merge out over
-// Config::kernel_threads worker lanes. The frontier bitset (or the active
-// vector / vertex range) is partitioned into contiguous word ranges, each
-// lane derives the same keyed per-vertex draws the serial kernel would and
-// emits into lane-owned scratch words, and the scratch is OR-merged — all
-// of which commutes, so results are bit-for-bit identical at every lane
-// count. Lane telemetry goes to lane-local StepMetrics blocks folded after
-// the join; the hot path never touches a shared counter. Every parallel
-// pass — the lane scans and the commit merges — goes through one private
-// fork-join on the kernel's util::ForkJoinTeam: the caller and
-// kernel_threads - 1 persistent workers claim lanes from an atomic counter,
-// so any thread may run any lane (lane i still writes only lane i's
-// scratch, emission vector and tally, folded in lane order), a parked or
-// descheduled worker never stalls a round, and a parallel round allocates
-// nothing. One kernel runs per replicate thread, so replicate threads ×
-// lanes is the whole thread count.
+// rounds can fan their scans and the commit merge out over up to
+// Config::kernel_threads worker lanes; lane_count sizes each pass from its
+// width, so a pass forks only when every lane gets at least a floor of
+// work (kScanLaneMinEntries, kCommitLaneMinWords). The frontier bitset (or
+// the active vector / vertex range) is partitioned into contiguous word
+// ranges, each lane derives the same keyed per-vertex draws the serial
+// kernel would and emits into lane-owned scratch words, and the scratch is
+// OR-merged — all of which commutes, so results are bit-for-bit identical
+// at every lane count. Lane telemetry goes to lane-local StepMetrics
+// blocks folded after the join; the hot path never touches a shared
+// counter. Every parallel pass — the lane scans and the commit merges —
+// goes through one private fork-join on the kernel's util::ForkJoinTeam:
+// the caller and kernel_threads - 1 persistent workers claim lanes from an
+// atomic counter, so any thread may run any lane (lane i still writes only
+// lane i's scratch, emission vector and tally, folded in lane order), a
+// parked or descheduled worker never stalls a round, and a parallel round
+// allocates nothing. One kernel runs per replicate thread, so replicate
+// threads × lanes is the whole thread count.
 #pragma once
 
 #include <algorithm>
@@ -114,15 +116,53 @@ struct WordRange {
 /// `words` is 0.
 std::vector<WordRange> partition_word_ranges(std::size_t words, int lanes);
 
-/// How many ranges partition_word_ranges(words, lanes) returns:
-/// min(words, lanes), 0 when either is 0.
-inline std::size_t lane_count(std::size_t words, int lanes) {
-  return lanes <= 0 ? 0 : std::min(words, static_cast<std::size_t>(lanes));
+/// What one item of a lane-parallel kernel pass is (lane_count).
+enum class Pass : std::uint8_t {
+  kWordScan,    ///< a bitset word of a scan: 64 vertices
+  kVertexScan,  ///< a vertex (or active-vector slot) of a scan
+  kCommit,      ///< a word of a commit merge: one OR and popcount
+};
+
+/// Scan floor: a scan forks only when every lane spans at least this many
+/// adjacency entries (its vertices times the graph's average degree). A
+/// body's cost grows with the adjacency it can touch: pushes into a
+/// cache-resident graph take nanoseconds, pushes into one that spills
+/// the cache wait on memory. micro_cobra's BM_CobraStepLanes sets the
+/// value on 8-regular graphs: a dense round at the dense-entry density,
+/// where a word carries the least work, gains from a second lane from 64
+/// words per lane (32768 entries) on, and loses up to 2x below 32.
+inline constexpr std::uint64_t kScanLaneMinEntries = 32768;
+
+/// Commit floor: a commit merge forks only when every lane gets at least
+/// this many words. A commit word costs one OR and popcount whatever the
+/// graph, so this floor counts words.
+inline constexpr std::uint64_t kCommitLaneMinWords = 1024;
+
+/// The kernel's one lane-count rule: a pass of `items` runs on
+/// clamp(width / floor, 1, lanes) lanes, where `lanes` is the cap
+/// (Config::kernel_threads). A scan's width is the adjacency it spans —
+/// items × avg_degree, times 64 for word items — against
+/// kScanLaneMinEntries; a commit's width is its word count against
+/// kCommitLaneMinWords. 0 when `items` or `lanes` is 0. A pass on one
+/// lane stays on the calling thread, so a kernel whose passes are all
+/// narrower than two floors never builds its team.
+inline std::size_t lane_count(std::size_t items, int lanes, Pass pass,
+                              std::uint64_t avg_degree) {
+  if (items == 0 || lanes <= 0) return 0;
+  std::uint64_t width = items;
+  std::uint64_t floor = kCommitLaneMinWords;
+  if (pass != Pass::kCommit) {
+    width *= std::max<std::uint64_t>(avg_degree, 1) *
+             (pass == Pass::kWordScan ? 64 : 1);
+    floor = kScanLaneMinEntries;
+  }
+  return static_cast<std::size_t>(std::clamp<std::uint64_t>(
+      width / floor, 1, static_cast<std::uint64_t>(lanes)));
 }
 
-/// Range i of partition_word_ranges(words, lanes) for count =
-/// lane_count(words, lanes) and i < count, in O(1) and without allocating
-/// (the parallel passes use this; the property tests pin it to the
+/// Range i of partition_word_ranges(words, count) for 1 <= count <= words
+/// and i < count, in O(1) and without allocating (the parallel passes use
+/// this with count = lane_count(...); the property tests pin it to the
 /// reference partition).
 inline WordRange word_range(std::size_t words, std::size_t count,
                             std::size_t i) {
@@ -262,13 +302,13 @@ class FrontierKernel {
     /// this off: its infected set is not monotone and full infection is
     /// detected from the frontier size alone.
     bool track_visited = true;
-    /// Resolved in-round worker-lane count (>= 1; processes run
+    /// Resolved in-round lane cap (>= 1; processes run
     /// core::resolve_kernel_threads on ProcessOptions::kernel_threads
-    /// first). 1 keeps every scan on the calling thread; above 1 the dense
-    /// scans and the commit merge fan out over the kernel's
-    /// util::ForkJoinTeam of kernel_threads - 1 workers plus the calling
-    /// thread, built on the first parallel pass.
-    /// Bit-for-bit identical results at every setting.
+    /// first). 1 keeps every scan on the calling thread; above 1 each dense
+    /// scan, plain vertex scan and commit merge runs on lane_count(...)
+    /// lanes, on the kernel's util::ForkJoinTeam of kernel_threads - 1
+    /// workers plus the calling thread, built on the first pass that
+    /// forks. Bit-for-bit identical results at every setting.
     int kernel_threads = 1;
     /// Optional pre-built sampler shared across replicates; must match the
     /// kernel's graph and laziness.
@@ -407,7 +447,7 @@ class FrontierKernel {
   // (in_frontier, is_visited, the graph) but must not write anything
   // shared.
 
-  /// The resolved in-round lane count (>= 1; Config::kernel_threads).
+  /// The resolved in-round lane cap (>= 1; Config::kernel_threads).
   [[nodiscard]] int kernel_threads() const { return threads_; }
 
   /// What every lane context shares: the lane's emission target, keyed
@@ -594,7 +634,8 @@ class FrontierKernel {
       return lane.user_;
     }
     auto scatter = scatter_body<S>(body);
-    return run_dense_lanes(n, next_frontier_, /*local_writes=*/false,
+    return run_dense_lanes(n, Pass::kVertexScan, next_frontier_,
+                           /*local_writes=*/false,
                            [&](WordRange r, DenseLane& lane) {
                              for (std::size_t u = r.begin; u < r.end; ++u)
                                scatter(lane, static_cast<graph::VertexId>(u));
@@ -615,7 +656,7 @@ class FrontierKernel {
     if (dense_repr_) {
       const auto& words = frontier_.words();
       return run_dense_lanes(
-          words.size(), dest, /*local_writes=*/false,
+          words.size(), Pass::kWordScan, dest, /*local_writes=*/false,
           [&](WordRange r, DenseLane& lane) {
             lane.metrics().words_scanned += r.end - r.begin;
             for (std::size_t w = r.begin; w < r.end; ++w) {
@@ -630,7 +671,7 @@ class FrontierKernel {
           });
     }
     return run_dense_lanes(
-        active_.size(), dest, /*local_writes=*/false,
+        active_.size(), Pass::kVertexScan, dest, /*local_writes=*/false,
         [&](WordRange r, DenseLane& lane) {
           for (std::size_t i = r.begin; i < r.end; ++i) body(lane, active_[i]);
         });
@@ -647,7 +688,7 @@ class FrontierKernel {
     if (dense_repr_) {
       const auto& words = frontier_.words();
       return run_dense_lanes(
-          nwords, dest, /*local_writes=*/false,
+          nwords, Pass::kWordScan, dest, /*local_writes=*/false,
           [&](WordRange r, DenseLane& lane) {
             lane.metrics().words_scanned += r.end - r.begin;
             for (std::size_t w = r.begin; w < r.end; ++w) {
@@ -663,7 +704,7 @@ class FrontierKernel {
           });
     }
     return run_dense_lanes(
-        nwords, dest, /*local_writes=*/false,
+        nwords, Pass::kWordScan, dest, /*local_writes=*/false,
         [&](WordRange r, DenseLane& lane) {
           const std::size_t end = std::min(r.end << 6, n);
           for (std::size_t u = r.begin << 6; u < end; ++u)
@@ -684,7 +725,7 @@ class FrontierKernel {
                                   Body&& body) {
     const auto& words = marked.words();
     return run_dense_lanes(
-        words.size(), next_frontier_, /*local_writes=*/true,
+        words.size(), Pass::kWordScan, next_frontier_, /*local_writes=*/true,
         [&](WordRange r, DenseLane& lane) {
           for (std::size_t w = r.begin; w < r.end; ++w) {
             std::uint64_t bits = words[w];
@@ -737,17 +778,18 @@ class FrontierKernel {
   }
 
   /// Drives one dense scan of [0, items) across lane_count(items,
-  /// threads_) lanes, lane i taking word_range(items, lanes, i); any thread
-  /// of the team may run any lane. With local_writes every lane targets
-  /// `dest` directly (the body's emissions stay inside the lane's own
-  /// words); otherwise lane 0 targets `dest` and lanes >= 1 per-lane
-  /// scratch bitsets, zeroed at lane start and OR-merged into `dest` in
-  /// lane order after the join. Returns the lane-ordered sum of the tallies
-  /// and folds lane telemetry into the kernel block.
+  /// threads_, pass, avg_degree_) lanes, lane i taking word_range(items,
+  /// lanes, i); any thread of the team may run any lane. With local_writes
+  /// every lane targets `dest` directly (the body's emissions stay inside
+  /// the lane's own words); otherwise lane 0 targets `dest` and lanes >= 1
+  /// per-lane scratch bitsets, zeroed at lane start and OR-merged into
+  /// `dest` in lane order after the join. Returns the lane-ordered sum of
+  /// the tallies and folds lane telemetry into the kernel block.
   template <typename Task>
-  std::uint64_t run_dense_lanes(std::size_t items, util::DynamicBitset& dest,
-                                bool local_writes, Task&& task) {
-    const std::size_t lanes = lane_count(items, threads_);
+  std::uint64_t run_dense_lanes(std::size_t items, Pass pass,
+                                util::DynamicBitset& dest, bool local_writes,
+                                Task&& task) {
+    const std::size_t lanes = lane_count(items, threads_, pass, avg_degree_);
     if (lanes == 0) return 0;
     if (lanes == 1) {
       DenseLane lane(dest.data());
@@ -779,13 +821,15 @@ class FrontierKernel {
     return user;
   }
 
-  /// Drives one sparse plain scan of [0, items) across lane_count(items,
-  /// threads_) lanes: lane 0 appends to next_, lanes >= 1 to per-lane
-  /// vectors concatenated in lane order after the join. Returns the
-  /// lane-ordered sum of the tallies.
+  /// Drives one sparse plain scan of [0, items) vertices across
+  /// lane_count(items, threads_, Pass::kVertexScan, avg_degree_) lanes:
+  /// lane 0 appends to next_, lanes >= 1 to per-lane vectors concatenated
+  /// in lane order after the join. Returns the lane-ordered sum of the
+  /// tallies.
   template <typename Task>
   std::uint64_t run_sparse_lanes(std::size_t items, Task&& task) {
-    const std::size_t lanes = lane_count(items, threads_);
+    const std::size_t lanes =
+        lane_count(items, threads_, Pass::kVertexScan, avg_degree_);
     if (lanes == 0) return 0;
     if (lanes == 1) {
       SparseLane lane(&next_);
@@ -844,8 +888,9 @@ class FrontierKernel {
   void ensure_lane_scratch(std::size_t count);
 
   /// The dense-commit visited merge over the next frontier's words, SIMD
-  /// within ranges and fanned out over the lanes when the word count
-  /// warrants it (never affects the counters — lane sums are exact).
+  /// within ranges and fanned out over lane_count(words, threads_,
+  /// Pass::kCommit, avg_degree_) lanes (never affects the counters — lane
+  /// sums are exact).
   void merge_visited_parallel(std::size_t words, std::uint64_t* newly,
                               std::uint64_t* active);
 
@@ -897,6 +942,7 @@ class FrontierKernel {
   // scratch for scatter scans, per-lane emission vectors for the sparse
   // plain scan, and per-lane sums for the commit merges.
   int threads_ = 1;
+  std::uint64_t avg_degree_ = 0;  // degree_sum / n, lane_count's scan width
   std::unique_ptr<util::ForkJoinTeam> team_;
   std::vector<DenseLane> dense_lanes_;
   std::vector<SparseLane> sparse_lanes_;

@@ -94,6 +94,14 @@ std::int64_t scaled(std::int64_t base, std::int64_t min_value) {
   return std::max<std::int64_t>(min_value, static_cast<std::int64_t>(v));
 }
 
+std::uint32_t scaled_u32(std::int64_t base, std::int64_t min_value) {
+  const std::int64_t v = scaled(base, min_value);
+  COBRA_CHECK_MSG(v >= 0 && v <= 0xFFFFFFFF,
+                  "--scale/COBRA_SCALE " << scale() << " times base " << base
+                                         << " does not fit a 32-bit count");
+  return static_cast<std::uint32_t>(v);
+}
+
 int max_threads() {
   if (threads_override) return *threads_override;
   const auto hw = static_cast<std::int64_t>(

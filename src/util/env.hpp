@@ -50,6 +50,11 @@ void clear_env_overrides();
 /// Throws util::CheckError when base · scale does not fit an int64.
 std::int64_t scaled(std::int64_t base, std::int64_t min_value = 1);
 
+/// scaled() for a quantity held in 32 bits (a vertex count, a dimension).
+/// Throws util::CheckError, located like scaled()'s, when the scaled value
+/// exceeds 2^32 - 1 instead of letting the narrowing cast wrap it.
+std::uint32_t scaled_u32(std::int64_t base, std::int64_t min_value = 1);
+
 /// Worker thread cap (COBRA_THREADS), at least 1.
 int max_threads();
 

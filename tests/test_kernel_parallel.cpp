@@ -5,14 +5,19 @@
 // never partitions randomness. Checked here for COBRA, BIPS and the
 // set-protocol baselines across the sparse/dense/auto engines, on
 // fixtures that include the degenerate single-vertex graph, a graph
-// whose bitset straddles a word boundary (n = 65), and a graph ingested
-// from a .cgr file — the path production sweeps take.
+// whose bitset straddles a word boundary (n = 65), a graph ingested
+// from a .cgr file — the path production sweeps take — and graphs wide
+// enough that lane_count actually forks: a scan spanning fewer than two
+// floors of adjacency (kScanLaneMinEntries per lane) runs on one lane
+// whatever kernel_threads says, so only those fixtures compare a
+// fanned-out round against the serial one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -57,6 +62,10 @@ std::vector<graph::Graph> fixture_graphs() {
   graphs.push_back(graph::cycle(65));
   graphs.push_back(graph::hypercube(7));
   graphs.push_back(graph::connected_random_regular(192, 6, gen));
+  // Above the floors: 257 words (a one-bit tail) of 16449 degree-8
+  // vertices span 4 floors, so word and vertex scans fork 2, 3 and 4
+  // ragged lanes at caps 2, 3 and 8.
+  graphs.push_back(graph::connected_random_regular(16449, 8, gen));
   return graphs;
 }
 
@@ -116,7 +125,7 @@ TEST(KernelParallel, CobraBitForBitAcrossThreadCountsOnEveryEngine) {
 }
 
 TEST(KernelParallel, CobraThreadInvariantWithLazinessAndBranching) {
-  const graph::Graph g = graph::hypercube(6);
+  const graph::Graph g = graph::hypercube(13);  // 3 floors: 2-3 lanes
   ProcessOptions opt;
   opt.engine = Engine::kDense;
   opt.laziness = 0.5;
@@ -128,7 +137,7 @@ TEST(KernelParallel, CobraThreadInvariantOnIngestedGraph) {
   // The production path: a generated graph round-tripped through the
   // .cgr container and reloaded through the file: spec (mmap backend).
   const TempFile f("test_kernel_parallel_ingest.cgr");
-  graph::write_cgr_file(graph::build_graph_spec("regular_128_r4"), f.path);
+  graph::write_cgr_file(graph::build_graph_spec("regular_8192_r8"), f.path);
   const graph::Graph g = graph::build_graph_spec("file:" + f.path);
   for (const Engine engine : kFastEngines) {
     ProcessOptions opt;
@@ -182,7 +191,7 @@ TEST(KernelParallel, BipsBitForBitAcrossThreadCountsOnEveryEngine) {
 TEST(KernelParallel, BipsThreadInvariantWithLaziness) {
   // Laziness exercises the dense boundary-marking round's "self already
   // infected" determination, which runs through the marked local scan.
-  const graph::Graph g = graph::hypercube(6);
+  const graph::Graph g = graph::hypercube(13);  // 3 floors: 2-3 lanes
   for (const int threads : kLaneCounts) {
     BipsOptions serial_opt;
     serial_opt.process.engine = Engine::kDense;
@@ -295,51 +304,146 @@ TEST(KernelParallel, KernelThreadsResolvesFromSession) {
   EXPECT_EQ(CobraProcess(g).kernel_threads(), 1);
 }
 
-TEST(KernelParallel, MoreLanesThanWordsOrVerticesIsSafe) {
-  // 8 lanes against a 1-word bitset / a 2-vertex frontier: the partition
-  // degenerates to fewer (non-empty) ranges and the results still match.
-  const graph::Graph g = graph::path(2);
+TEST(KernelParallel, LaneCountSizesEachPassFromItsWidth) {
+  // Cache-sized passes of an 8-regular graph stay on one lane at any cap.
+  for (const std::size_t words : {8, 16, 32})
+    EXPECT_EQ(lane_count(words, 4, Pass::kWordScan, 8), 1u) << words;
+  for (const std::size_t n : {512, 1024, 2048})
+    EXPECT_EQ(lane_count(n, 4, Pass::kVertexScan, 8), 1u) << n;
+  // regular_65536_r8: 1024 words and 65536 vertices fill four lanes.
+  EXPECT_EQ(lane_count(1024, 4, Pass::kWordScan, 8), 4u);
+  EXPECT_EQ(lane_count(65536, 4, Pass::kVertexScan, 8), 4u);
+  EXPECT_EQ(lane_count(1024, 1, Pass::kWordScan, 8), 1u);
+  // Width is adjacency, not words: complete_2048's 32 words span 4.2M
+  // entries and fork, cycle_512's 8 words span 1024 and do not.
+  EXPECT_EQ(lane_count(32, 4, Pass::kWordScan, 2047), 4u);
+  EXPECT_EQ(lane_count(2048, 4, Pass::kVertexScan, 2047), 4u);
+  EXPECT_EQ(lane_count(8, 4, Pass::kWordScan, 2), 1u);
+  EXPECT_EQ(lane_count(1, 4, Pass::kWordScan, 0), 1u);  // n = 1
+  // A commit word is cheap whatever the degree: 1024 of them stay
+  // serial, 4096 fill 4 lanes.
+  EXPECT_EQ(lane_count(1024, 4, Pass::kCommit, 2047), 1u);
+  EXPECT_EQ(lane_count(4096, 4, Pass::kCommit, 8), 4u);
+  // Nothing to scan, or no lanes, is no lane at all.
+  for (const Pass pass : {Pass::kWordScan, Pass::kVertexScan, Pass::kCommit}) {
+    EXPECT_EQ(lane_count(0, 4, pass, 8), 0u);
+    EXPECT_EQ(lane_count(1024, 0, pass, 8), 0u);
+  }
+  // The rule itself: within [1, cap], a forked pass gives every lane at
+  // least a floor of width, and a pass below the cap has no room for one
+  // more lane.
+  for (const std::uint64_t degree : {1, 3, 8, 100}) {
+    for (const Pass pass :
+         {Pass::kWordScan, Pass::kVertexScan, Pass::kCommit}) {
+      const std::uint64_t per_item =
+          pass == Pass::kCommit ? 1
+          : degree * (pass == Pass::kWordScan ? 64 : 1);
+      const std::uint64_t floor =
+          pass == Pass::kCommit ? kCommitLaneMinWords : kScanLaneMinEntries;
+      for (std::size_t items = 1; items * per_item < 20 * floor;
+           items += floor / per_item / 8 + 1) {
+        for (const int cap : {1, 2, 3, 4, 8}) {
+          const std::size_t lanes = lane_count(items, cap, pass, degree);
+          const std::uint64_t width = items * per_item;
+          ASSERT_GE(lanes, 1u);
+          ASSERT_LE(lanes, static_cast<std::size_t>(cap));
+          if (lanes > 1) {
+            ASSERT_GE(width / lanes, floor) << items;
+          }
+          if (lanes < static_cast<std::size_t>(cap)) {
+            ASSERT_LT(width / (lanes + 1), floor) << items;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParallel, NarrowPassesNeverBuildTheLaneTeam) {
+  // A kernel whose passes all stay on one lane never spawns a thread, so a
+  // replicate on a cache-sized graph pays no team start-up at any cap.
+  const auto threads = [] {
+    std::size_t count = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+      ++count;
+    return count;
+  };
+  if (!std::filesystem::exists("/proc/self/task"))
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  const std::size_t before = threads();
+  const graph::Graph g = graph::hypercube(10);
   for (const Engine engine : kFastEngines) {
     ProcessOptions opt;
     opt.engine = engine;
-    expect_cobra_thread_invariant(g, opt, 77);
+    opt.kernel_threads = 4;
+    CobraProcess cobra(g, opt);
+    rng::Rng rng = rng::make_stream(5, 0);
+    cobra.reset(graph::VertexId{0});
+    cobra.run_until_cover(rng, 100000);
+    EXPECT_EQ(threads(), before);
+    BipsOptions bips_opt;
+    bips_opt.process = opt;
+    BipsProcess bips(g, 0, bips_opt);
+    for (int t = 0; t < 200 && !bips.fully_infected(); ++t) bips.step(rng);
+    EXPECT_EQ(threads(), before);
+  }
+}
+
+TEST(KernelParallel, MoreLanesThanWordsOrVerticesIsSafe) {
+  // A cap of 8 lanes against passes with room for fewer: 194 words and
+  // 12353 vertices of degree 8 fork only 3 ragged lanes, and a 2-vertex
+  // path (one word) none; the results still match the serial kernel's.
+  rng::Rng gen = rng::make_stream(7118, 0);
+  const graph::Graph wide = graph::connected_random_regular(12353, 8, gen);
+  ASSERT_EQ(lane_count(194, 8, Pass::kWordScan, 8), 3u);
+  ASSERT_EQ(lane_count(wide.num_vertices(), 8, Pass::kVertexScan, 8), 3u);
+  const graph::Graph path = graph::path(2);
+  for (const graph::Graph* g : {&wide, &path}) {
+    for (const Engine engine : kFastEngines) {
+      ProcessOptions opt;
+      opt.engine = engine;
+      expect_cobra_thread_invariant(*g, opt, 77);
+    }
   }
 }
 
 TEST(KernelParallel, ThrowingLaneIsRethrownAfterEveryLaneJoins) {
-  // 4 lanes over 256 vertices: lane 0 throws on its first vertex and lane
-  // 3 on its ninth, while lanes 1 and 2 are still asleep on theirs. The
-  // scan must run lanes 1 and 2 to completion, join everyone, rethrow
-  // lane 0's error, and leave the kernel usable.
-  const graph::Graph g = graph::cycle(256);
+  // 4 lanes over Q_14's 16384 vertices (4096 each): lane 0 throws on its
+  // first vertex and lane 3 on its ninth, while lanes 1 and 2 are still
+  // asleep on theirs. The scan must run lanes 1 and 2 to completion, join
+  // everyone, rethrow lane 0's error, and leave the kernel usable.
+  const graph::Graph g = graph::hypercube(14);
+  const graph::VertexId kLane = g.num_vertices() / 4;
   FrontierKernel::Config cfg;
   cfg.engine = Engine::kDense;
   cfg.kernel_threads = 4;
   FrontierKernel kernel(g, cfg);
+  ASSERT_EQ(lane_count(g.num_vertices(), 4, Pass::kVertexScan, 14), 4u);
   const graph::VertexId start[] = {0};
   kernel.assign(start);
   ASSERT_TRUE(kernel.begin_round(1.0));
   std::atomic<int> calls{0};
   try {
     kernel.vertex_scan<Sink::kCoalescing>([&](auto& lane, graph::VertexId u) {
-      if (u == 64 || u == 128)
+      if (u == kLane || u == 2 * kLane)
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       ++calls;
       if (u == 0) throw std::runtime_error("lane 0");
-      if (u == 200) throw std::runtime_error("lane 3");
+      if (u == 3 * kLane + 8) throw std::runtime_error("lane 3");
       lane.emit(u);
     });
     FAIL() << "the scan swallowed its lanes' exceptions";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "lane 0");
   }
-  EXPECT_EQ(calls.load(), 1 + 64 + 64 + 9);
+  EXPECT_EQ(calls.load(), 1 + 2 * static_cast<int>(kLane) + 9);
 
   ASSERT_TRUE(kernel.begin_round(1.0));
   kernel.vertex_scan<Sink::kCoalescing>(
       [](auto& lane, graph::VertexId u) { lane.emit(u); });
   kernel.commit(FrontierKernel::Commit::kReplace);
-  EXPECT_EQ(kernel.frontier_size(), 256u);
+  EXPECT_EQ(kernel.frontier_size(), 4 * kLane);
 }
 
 }  // namespace

@@ -89,8 +89,9 @@ std::uint64_t replay_allocations(Process& process, Reset&& reset,
 }
 
 TEST_F(KernelZeroAlloc, CobraDenseStepIncludingTheParallelCommit) {
-  // 2^16 vertices = 1024 bitset words: the commit merge fans out too.
-  const graph::Graph g = graph::hypercube(16);
+  // 2^17 vertices = 2048 bitset words: two commit floors, so the commit
+  // merge fans out too.
+  const graph::Graph g = graph::hypercube(17);
   for (const int lanes : kLaneCounts) {
     SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
     ProcessOptions opt;
@@ -104,8 +105,9 @@ TEST_F(KernelZeroAlloc, CobraDenseStepIncludingTheParallelCommit) {
   }
 }
 
+// 2^14 vertices = 256 words: wide enough for 4 lanes on every BIPS scan.
 TEST_F(KernelZeroAlloc, BipsSparsePlainVertexScan) {
-  const graph::Graph g = graph::hypercube(10);
+  const graph::Graph g = graph::hypercube(14);
   for (const int lanes : kLaneCounts) {
     SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
     BipsOptions opt;
@@ -120,7 +122,7 @@ TEST_F(KernelZeroAlloc, BipsSparsePlainVertexScan) {
 }
 
 TEST_F(KernelZeroAlloc, BipsDenseMarkingAndSampling) {
-  const graph::Graph g = graph::hypercube(10);
+  const graph::Graph g = graph::hypercube(14);
   for (const int lanes : kLaneCounts) {
     SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
     BipsOptions opt;

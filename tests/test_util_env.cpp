@@ -80,6 +80,32 @@ TEST_F(EnvTest, ScaledRefusesProductsBeyondInt64) {
   EXPECT_EQ(scaled(400, 64), 400'000'000'000);
 }
 
+TEST_F(EnvTest, ScaledU32RefusesValuesBeyond32Bits) {
+  // 256 · 16777216.25 = 2^32 + 64: the unchecked cast to a 32-bit vertex
+  // count wrapped it to n = 64, and general_bound listed path/n=64.
+  set_scale_override(16777216.25);
+  EXPECT_EQ(scaled(256, 64), 4'294'967'360);
+  try {
+    (void)scaled_u32(256, 64);
+    ADD_FAILURE() << "a count beyond 2^32 - 1 was accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--scale/COBRA_SCALE"), std::string::npos) << what;
+    EXPECT_NE(what.find("base 256"), std::string::npos) << what;
+    EXPECT_NE(what.find("32-bit count"), std::string::npos) << what;
+    EXPECT_NE(what.find("env.cpp"), std::string::npos) << what;
+  }
+  // A scale too large for int64 is refused by scaled() itself.
+  set_scale_override(1e30);
+  EXPECT_THROW((void)scaled_u32(1), CheckError);
+  // The largest 32-bit count and the floor pass through unchanged.
+  set_scale_override(1.0);
+  EXPECT_EQ(scaled_u32(0xFFFFFFFF), 0xFFFFFFFFu);
+  EXPECT_EQ(scaled_u32(0, 64), 64u);
+  set_scale_override(0.001);
+  EXPECT_EQ(scaled_u32(1024, 128), 128u);
+}
+
 TEST_F(EnvTest, MaxThreadsAtLeastOne) {
   setenv("COBRA_THREADS", "0", 1);
   EXPECT_GE(max_threads(), 1);

@@ -2,8 +2,8 @@
 // frontier kernel rests on:
 //   * partition_word_ranges: the ranges tile [0, words) exactly once,
 //     are contiguous, non-empty and near-equal, for adversarial
-//     (words, lanes) combinations — and lane_count/word_range, the O(1)
-//     form the parallel passes use, reproduce it range for range;
+//     (words, lanes) combinations — and word_range, the O(1) form the
+//     parallel passes use, reproduces it range for range;
 //   * util/simd: the AVX2 kernels and the scalar fallbacks compute
 //     bit-identical results on randomized inputs (so SIMD dispatch can
 //     never perturb fixed-seed archives).
@@ -81,7 +81,8 @@ TEST(PartitionWordRanges, WordRangeMatchesTheReference) {
                    << "words=" << words << " lanes=" << lanes);
       const std::vector<WordRange> ranges =
           partition_word_ranges(words, lanes);
-      const std::size_t count = core::lane_count(words, lanes);
+      const std::size_t count =
+          lanes <= 0 ? 0 : std::min(words, static_cast<std::size_t>(lanes));
       ASSERT_EQ(count, ranges.size());
       for (std::size_t i = 0; i < count; ++i) {
         const WordRange r = core::word_range(words, count, i);
