@@ -8,7 +8,11 @@
 //                          (restarting when absorbed), the mix experiments
 //                          actually pay; items = n per round;
 //   BM_BipsRoundThreads  — the dense round's lane scaling;
-//   BM_BipsFullInfection — end-to-end infec(source) runs.
+//   BM_BipsFullInfection — end-to-end infec(source) runs;
+//   BM_BipsInfectionLanes/<graph>/<L> — whole auto-engine infections at L
+//                          lanes on the expander-prebaked graphs; its
+//                          round_us counter is the per-round wall time
+//                          perfbench reports as kernel.bips.round_us.
 //
 // The committed baseline bench_results/BENCH_bips.json is produced by this
 // binary (see README.md "Performance" for the regeneration command) and
@@ -18,6 +22,7 @@
 // + the CI bench job).
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -33,6 +38,9 @@ using namespace cobra;
 using namespace cobra::core;
 
 constexpr int kNumGraphs = 5;
+// Beyond the engine sweeps: the dense graph of the expander-prebaked
+// workload, used only by BM_BipsInfectionLanes.
+constexpr int kComplete2048 = kNumGraphs;
 
 // Index 4 is "the largest random-regular config" the acceptance criterion
 // and the baseline check refer to.
@@ -43,6 +51,7 @@ graph::Graph build_graph(int id) {
     case 1: return graph::torus_power(64, 2);      // sparse, degree 4
     case 2: return graph::connected_random_regular(4096, 8, rng);
     case 3: return graph::cycle(4096);             // sparse, degree 2
+    case kComplete2048: return graph::complete(2048);
     default: return graph::connected_random_regular(65536, 8, rng);
   }
 }
@@ -53,6 +62,7 @@ const char* graph_name(int id) {
     case 1: return "torus_64x64";
     case 2: return "regular_4096_r8";
     case 3: return "cycle_4096";
+    case kComplete2048: return "complete_2048";
     default: return "regular_65536_r8";
   }
 }
@@ -143,6 +153,46 @@ BENCHMARK(BM_BipsFullInfection)
     ->ArgsProduct({{2, 4},
                    benchmark::CreateDenseRange(0, kNumEngines - 1, 1)})
     ->Unit(benchmark::kMillisecond);
+
+void BM_BipsInfectionLanes(benchmark::State& state, int graph_id,
+                           int lanes) {
+  // One iteration is one auto-engine infec(source) run on a fresh stream,
+  // as a workload cell's replicate pays it. Timed in wall time; round_us
+  // divides the runs' wall time by the rounds run, like
+  // kernel.bips.round_us.
+  const graph::Graph& g = bench_graph(graph_id);
+  BipsOptions opt;
+  opt.process.engine = Engine::kAuto;
+  opt.process.kernel_threads = lanes;
+  BipsProcess p(g, 0, opt);
+  std::uint64_t replicate = 0;
+  std::uint64_t rounds = 0;
+  std::chrono::steady_clock::duration run_time{};
+  for (auto _ : state) {
+    rng::Rng rng = rng::make_stream(5, replicate++);
+    p.reset(0);
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(p.run_until_full(rng, 100'000'000));
+    run_time += std::chrono::steady_clock::now() - start;
+    rounds += p.round();
+  }
+  state.counters["round_us"] =
+      std::chrono::duration<double, std::micro>(run_time).count() /
+      static_cast<double>(rounds);
+}
+
+const bool kInfectionLanesRegistered = [] {
+  for (const int graph_id : {kNumGraphs - 1, kComplete2048})
+    for (const int lanes : {1, 2, 4})
+      benchmark::RegisterBenchmark(
+          (std::string("BM_BipsInfectionLanes/") + graph_name(graph_id) +
+           "/" + std::to_string(lanes))
+              .c_str(),
+          BM_BipsInfectionLanes, graph_id, lanes)
+          ->Unit(benchmark::kMillisecond)
+          ->UseRealTime();
+  return true;
+}();
 
 }  // namespace
 

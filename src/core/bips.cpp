@@ -9,12 +9,12 @@ namespace cobra::core {
 
 namespace {
 
-/// The auto-engine rule: a round runs dense when
+/// The auto-engine rule: a round marks the boundary when
 /// min(|A_t|, n - |A_t|) · avg_degree <= kDenseEdgeBudget · n — i.e. when
 /// the boundary-marking pass is cheaper than the all-vertex scan — with
-/// the kernel's 2x hysteresis on the way out. Unlike COBRA's density rule
-/// this fires at BOTH extremes (tiny and near-full infected sets), where
-/// determined outcomes dominate.
+/// 2x hysteresis on the way out. Unlike COBRA's density rule this fires
+/// at BOTH extremes (tiny and near-full infected sets), where determined
+/// outcomes dominate.
 constexpr double kDenseEdgeBudget = 1.0;
 
 }  // namespace
@@ -41,7 +41,7 @@ double bips_infection_probability(std::uint32_t d, std::uint32_t da,
 
 FrontierKernel::Config BipsProcess::kernel_config() const {
   FrontierKernel::Config cfg;
-  cfg.engine = engine_;
+  cfg.engine = Engine::kDense;  // both round kinds commit on the bitset
   cfg.laziness = options_.process.laziness;
   cfg.track_visited = false;  // A_t is not monotone
   cfg.sampler = options_.process.sampler;
@@ -82,6 +82,8 @@ void BipsProcess::reset(std::span<const graph::VertexId> sources) {
   std::sort(sources_.begin(), sources_.end());
   kernel_.assign(sources_);
   round_ = 0;
+  marked_last_ = false;
+  dense_rounds_ = 0;
   infected_degree_valid_ = false;
 }
 
@@ -100,21 +102,32 @@ std::uint32_t BipsProcess::step(rng::Rng& rng) {
   const std::uint64_t round_key = rng.next_u64();
   const graph::VertexId n = graph_->num_vertices();
   const std::uint32_t a = kernel_.frontier_size();
-  // Dense rounds pay O(min-side edges) marking; the plain scan pays O(n·b)
-  // draws. Score >= 1 <=> the boundary pass is within the edge budget.
+  // Marking pays O(min-side edges); the sampling scan pays O(n·b) draws.
+  // Score >= 1 <=> the boundary pass is within the edge budget.
   const double min_side_edges =
       static_cast<double>(std::min(a, n - a)) * avg_degree_;
   const double score =
       min_side_edges <= 0.0
-          ? 2.0  // fully infected: the dense round is a pure word pass
+          ? 2.0  // fully infected: marking is a pure word pass
           : kDenseEdgeBudget * static_cast<double>(n) /
                 min_side_edges;
-  if (kernel_.begin_round(score)) {
-    step_dense(round_key);
+  // kAuto marks from score 1 on and keeps marking down to 0.5 (2x
+  // hysteresis); a change of round kind counts as a mode switch, as a
+  // representation flip does for the other processes.
+  bool mark = engine_ == Engine::kDense;
+  if (engine_ == Engine::kAuto) mark = score >= (marked_last_ ? 0.5 : 1.0);
+  StepMetrics* metrics = kernel_.metrics();
+  if (metrics != nullptr && round_ > 0 && mark != marked_last_)
+    ++metrics->mode_switches;
+  kernel_.begin_round(score);  // dense: the kernel is configured kDense
+  if (mark) {
+    step_marking(round_key);
   } else {
-    step_sparse(round_key);
+    step_sampling(round_key);
   }
   kernel_.commit(FrontierKernel::Commit::kReplace);
+  marked_last_ = mark;
+  dense_rounds_ += mark ? 1 : 0;
   ++round_;
   infected_degree_valid_ = false;
   return infected_count();
@@ -134,9 +147,11 @@ bool BipsProcess::catches_infection(graph::VertexId u,
   return false;
 }
 
-void BipsProcess::step_sparse(std::uint64_t round_key) {
-  kernel_.plain_vertex_scan(
-      [&](FrontierKernel::SparseLane& lane, graph::VertexId u) {
+void BipsProcess::step_sampling(std::uint64_t round_key) {
+  // Local-write scan over every vertex: each vertex tests its draws
+  // against the frontier bitset and sets only its own next-frontier bit.
+  kernel_.local_vertex_scan(
+      [&](FrontierKernel::DenseLane& lane, graph::VertexId u) {
         if (source_set_.test(u)) {
           lane.emit(u);
           return;
@@ -146,7 +161,7 @@ void BipsProcess::step_sparse(std::uint64_t round_key) {
       });
 }
 
-void BipsProcess::step_dense(std::uint64_t round_key) {
+void BipsProcess::step_marking(std::uint64_t round_key) {
   const graph::VertexId n = graph_->num_vertices();
   const bool lazy = options_.process.laziness > 0.0;
   if (scratch_.size() != n) scratch_.resize(n);

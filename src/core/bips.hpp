@@ -11,13 +11,17 @@
 // frontier kernel (core/frontier_kernel.hpp): one round key per round, all
 // per-vertex randomness keyed by (round key, vertex), so the sparse, dense
 // and auto engines are bit-for-bit identical at a fixed seed and at every
-// lane count, and differ only in cost. The dense engine exploits
-// determined outcomes: a vertex whose selections cannot miss (every
-// neighbour infected, and with laziness also itself) is infected without
-// drawing, and one whose selections cannot hit stays uninfected without
-// drawing — so a round costs O(min(d(A_t), d(V \ A_t))) marking plus draws
-// for the undetermined boundary only, instead of O(n·b). The law is pinned
-// to the exact subset DP (core/bips_exact) by tests.
+// lane count, and differ only in cost. A_t always lives in the kernel's
+// frontier bitset; the engine picks the round's algorithm. The sampling
+// round (sparse engine) scans every vertex, lane-parallel with each lane
+// writing only its own next-frontier words. The marking round (dense
+// engine) exploits determined outcomes: a vertex whose selections cannot
+// miss (every neighbour infected, and with laziness also itself) is
+// infected without drawing, and one whose selections cannot hit stays
+// uninfected without drawing — so a round costs O(min(d(A_t), d(V \ A_t)))
+// marking plus draws for the undetermined boundary only, instead of
+// O(n·b). The auto engine picks per round by a cost score. The law is
+// pinned to the exact subset DP (core/bips_exact) by tests.
 #pragma once
 
 #include <cstdint>
@@ -88,9 +92,9 @@ class BipsProcess {
     return source_set_.test(u);
   }
 
-  /// Current infected set A_t (duplicate-free). Order is engine-dependent:
-  /// emission order after sparse rounds, ascending vertex id after dense
-  /// rounds (materialised lazily — prefer infected_count() for the size).
+  /// Current infected set A_t (duplicate-free), in ascending vertex id on
+  /// every engine: every round commits on the frontier bitset
+  /// (materialised lazily — prefer infected_count() for the size).
   [[nodiscard]] const std::vector<graph::VertexId>& infected() const {
     return kernel_.frontier_vector();
   }
@@ -146,16 +150,14 @@ class BipsProcess {
 
   /// Rounds since reset executed with the dense (boundary-marking) path —
   /// introspection for tests and the auto-switch benchmarks.
-  [[nodiscard]] std::uint64_t dense_rounds() const {
-    return kernel_.dense_rounds();
-  }
+  [[nodiscard]] std::uint64_t dense_rounds() const { return dense_rounds_; }
 
  private:
   /// Builds the kernel configuration for the resolved engine.
   FrontierKernel::Config kernel_config() const;
 
-  void step_sparse(std::uint64_t round_key);
-  void step_dense(std::uint64_t round_key);
+  void step_sampling(std::uint64_t round_key);
+  void step_marking(std::uint64_t round_key);
 
   /// Keyed selection trial of vertex u against the current A_t: true iff
   /// any of u's fanout selections hits an infected vertex (early exit —
@@ -172,6 +174,8 @@ class BipsProcess {
   util::DynamicBitset source_set_;
   double avg_degree_ = 0.0;
   std::uint64_t round_ = 0;
+  bool marked_last_ = false;  // the last round marked (auto's hysteresis)
+  std::uint64_t dense_rounds_ = 0;
 
   // Lazy d(A_t) cache (invalidated per round).
   mutable std::uint64_t infected_degree_ = 0;

@@ -57,9 +57,10 @@
 //     processes: flooding layers, gossip): the visited set deduplicates
 //     in sparse rounds and filters in dense ones.
 // BIPS runs two different algorithms rather than one rule in two
-// representations — a full sampling scan (plain_vertex_scan) and boundary
-// marking (the explicit-dest scatter scans plus local_marked_scan) — and
-// picks between them with its own cost score.
+// representations — a full sampling scan (local_vertex_scan) and boundary
+// marking (the explicit-dest scatter scans plus local_marked_scan) — both
+// on a kernel configured dense, so its frontier is always the bitset; it
+// picks the algorithm per round with its own cost score.
 //
 // In-round parallelism (docs/ARCHITECTURE.md, "Frontier kernel"): dense
 // rounds can fan their scans and the commit merge out over up to
@@ -76,7 +77,7 @@
 // goes through one private fork-join on the kernel's util::ForkJoinTeam:
 // the caller and kernel_threads - 1 persistent workers claim lanes from an
 // atomic counter, so any thread may run any lane (lane i still writes only
-// lane i's scratch, emission vector and tally, folded in lane order), a
+// lane i's scratch and tally, folded in lane order), a
 // parked or descheduled worker never stalls a round, and a parallel round
 // allocates nothing. One kernel runs per replicate thread, so replicate
 // threads × lanes is the whole thread count.
@@ -305,10 +306,10 @@ class FrontierKernel {
     /// Resolved in-round lane cap (>= 1; processes run
     /// core::resolve_kernel_threads on ProcessOptions::kernel_threads
     /// first). 1 keeps every scan on the calling thread; above 1 each dense
-    /// scan, plain vertex scan and commit merge runs on lane_count(...)
-    /// lanes, on the kernel's util::ForkJoinTeam of kernel_threads - 1
-    /// workers plus the calling thread, built on the first pass that
-    /// forks. Bit-for-bit identical results at every setting.
+    /// scan and commit merge runs on lane_count(...) lanes, on the
+    /// kernel's util::ForkJoinTeam of kernel_threads - 1 workers plus the
+    /// calling thread, built on the first pass that forks. Bit-for-bit
+    /// identical results at every setting.
     int kernel_threads = 1;
     /// Optional pre-built sampler shared across replicates; must match the
     /// kernel's graph and laziness.
@@ -496,19 +497,6 @@ class FrontierKernel {
    private:
     friend class FrontierKernel;
     explicit DenseLane(std::uint64_t* words) : Lane(words) {}
-  };
-
-  /// Per-lane emission context for plain_vertex_scan: emissions append to
-  /// a lane-owned vector, concatenated in lane order after the join —
-  /// reproducing the serial ascending emission order exactly.
-  class SparseLane : public Lane<std::vector<graph::VertexId>*> {
-   public:
-    /// Appends v to the lane's emission vector.
-    void emit(graph::VertexId v) { target_->push_back(v); }
-
-   private:
-    friend class FrontierKernel;
-    explicit SparseLane(std::vector<graph::VertexId>* out) : Lane(out) {}
   };
 
   /// The lane a process body sees in a sparse round: one serial lane that
@@ -738,17 +726,18 @@ class FrontierKernel {
         });
   }
 
-  /// Lane-parallel full-vertex scan for SPARSE rounds of processes that
-  /// emit each vertex at most once, in ascending order (the BIPS sampling
-  /// round): lanes cover ascending index ranges and their emission vectors
-  /// are concatenated in lane order into the next frontier, reproducing
-  /// the serial ascending order exactly. Returns the lane-ordered sum of
-  /// the tallies.
+  /// As local_marked_scan, over every vertex in ascending order (the BIPS
+  /// full sampling round): lanes split the vertex words, and a body that
+  /// emits only the vertex it was called with writes only its lane's own
+  /// next-frontier words. Returns the lane-ordered sum of the tallies.
   template <typename Body>
-  std::uint64_t plain_vertex_scan(Body&& body) {
-    return run_sparse_lanes(
-        graph_->num_vertices(), [&](WordRange r, SparseLane& lane) {
-          for (std::size_t u = r.begin; u < r.end; ++u)
+  std::uint64_t local_vertex_scan(Body&& body) {
+    const std::size_t n = graph_->num_vertices();
+    return run_dense_lanes(
+        (n + 63) >> 6, Pass::kWordScan, next_frontier_, /*local_writes=*/true,
+        [&](WordRange r, DenseLane& lane) {
+          const std::size_t end = std::min(r.end << 6, n);
+          for (std::size_t u = r.begin << 6; u < end; ++u)
             body(lane, static_cast<graph::VertexId>(u));
         });
   }
@@ -815,44 +804,6 @@ class FrontierKernel {
       if (!local_writes && i > 0)
         util::simd::or_words(dest.data(), lane_scratch_[i - 1].data(),
                              merge_words);
-      user += lane.user_;
-      fold_lane(lane.block_);
-    }
-    return user;
-  }
-
-  /// Drives one sparse plain scan of [0, items) vertices across
-  /// lane_count(items, threads_, Pass::kVertexScan, avg_degree_) lanes:
-  /// lane 0 appends to next_, lanes >= 1 to per-lane vectors concatenated
-  /// in lane order after the join. Returns the lane-ordered sum of the
-  /// tallies.
-  template <typename Task>
-  std::uint64_t run_sparse_lanes(std::size_t items, Task&& task) {
-    const std::size_t lanes =
-        lane_count(items, threads_, Pass::kVertexScan, avg_degree_);
-    if (lanes == 0) return 0;
-    if (lanes == 1) {
-      SparseLane lane(&next_);
-      task(WordRange{0, items}, lane);
-      fold_lane(lane.block_);
-      return lane.user_;
-    }
-    if (lane_out_.size() < lanes - 1) lane_out_.resize(lanes - 1);
-    sparse_lanes_.reserve(static_cast<std::size_t>(threads_));
-    sparse_lanes_.clear();
-    sparse_lanes_.push_back(SparseLane(&next_));
-    for (std::size_t i = 1; i < lanes; ++i)
-      sparse_lanes_.push_back(SparseLane(&lane_out_[i - 1]));
-    fork_join(lanes, [&](std::size_t i) {
-      SparseLane& lane = sparse_lanes_[i];
-      if (i > 0) lane.target_->clear();
-      task(word_range(items, lanes, i), lane);
-    });
-    std::uint64_t user = 0;
-    for (std::size_t i = 0; i < lanes; ++i) {
-      SparseLane& lane = sparse_lanes_[i];
-      if (i > 0)
-        next_.insert(next_.end(), lane.target_->begin(), lane.target_->end());
       user += lane.user_;
       fold_lane(lane.block_);
     }
@@ -939,15 +890,12 @@ class FrontierKernel {
   // Lane-parallel machinery, built on the first parallel pass and reused
   // by every later one, so a parallel round allocates nothing: the team
   // of threads_ - 1 workers, the lane contexts, per-lane next-frontier
-  // scratch for scatter scans, per-lane emission vectors for the sparse
-  // plain scan, and per-lane sums for the commit merges.
+  // scratch for scatter scans, and per-lane sums for the commit merges.
   int threads_ = 1;
   std::uint64_t avg_degree_ = 0;  // degree_sum / n, lane_count's scan width
   std::unique_ptr<util::ForkJoinTeam> team_;
   std::vector<DenseLane> dense_lanes_;
-  std::vector<SparseLane> sparse_lanes_;
   std::vector<util::DynamicBitset> lane_scratch_;
-  std::vector<std::vector<graph::VertexId>> lane_out_;
   std::vector<std::uint64_t> lane_sums_;
 
   // Attached telemetry block (Config::metrics, else the thread's session

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -146,10 +147,11 @@ TEST(KernelParallel, CobraThreadInvariantOnIngestedGraph) {
   }
 }
 
-std::vector<graph::VertexId> sorted_infected(const BipsProcess& p) {
-  std::vector<graph::VertexId> v = p.infected();
-  std::sort(v.begin(), v.end());
-  return v;
+/// True iff `v` is strictly ascending (BIPS reports A_t in vertex order
+/// on every engine).
+bool strictly_ascending(const std::vector<graph::VertexId>& v) {
+  return std::adjacent_find(v.begin(), v.end(),
+                            std::greater_equal<graph::VertexId>()) == v.end();
 }
 
 void expect_bips_lockstep(BipsProcess& serial, BipsProcess& lanes,
@@ -160,8 +162,9 @@ void expect_bips_lockstep(BipsProcess& serial, BipsProcess& lanes,
   lanes.reset(graph::VertexId{0});
   for (int t = 0; t < max_rounds && !serial.fully_infected(); ++t) {
     ASSERT_EQ(serial.step(rng_a), lanes.step(rng_b)) << "round " << t;
-    ASSERT_EQ(sorted_infected(serial), sorted_infected(lanes))
-        << "round " << t;
+    ASSERT_TRUE(strictly_ascending(serial.infected())) << "round " << t;
+    ASSERT_EQ(serial.infected(), lanes.infected()) << "round " << t;
+    ASSERT_EQ(serial.dense_rounds(), lanes.dense_rounds()) << "round " << t;
     for (graph::VertexId u = 0; u < serial.graph().num_vertices(); ++u)
       ASSERT_EQ(serial.is_infected(u), lanes.is_infected(u))
           << "round " << t;
@@ -202,6 +205,41 @@ TEST(KernelParallel, BipsThreadInvariantWithLaziness) {
     BipsProcess serial(g, 0, serial_opt);
     BipsProcess lanes(g, 0, lane_opt);
     expect_bips_lockstep(serial, lanes, 616, 5000);
+  }
+}
+
+TEST(KernelParallel, BipsBothRoundKindsForkOnWideGraphs) {
+  // Graphs on which both BIPS round kinds fork at caps 2-4: the full
+  // sampling scan spans 4 scan floors of the 16449-vertex 8-regular
+  // fixture and 32 of complete(1024), where the auto score picks the full
+  // scan for all but the first rounds. The auto runs must use both kinds,
+  // so both algorithms are compared against their serial runs.
+  const graph::Graph graphs[] = {fixture_graphs().back(),
+                                 graph::complete(1024)};
+  for (const graph::Graph& g : graphs) {
+    SCOPED_TRACE(::testing::Message() << "n=" << g.num_vertices());
+    for (const Engine engine : kFastEngines) {
+      for (const int threads : {2, 3, 4}) {
+        BipsOptions serial_opt;
+        serial_opt.process.engine = engine;
+        serial_opt.process.kernel_threads = 1;
+        BipsOptions lane_opt = serial_opt;
+        lane_opt.process.kernel_threads = threads;
+        BipsProcess serial(g, 0, serial_opt);
+        BipsProcess lanes(g, 0, lane_opt);
+        expect_bips_lockstep(serial, lanes, 808 + g.num_vertices(), 5000);
+        ASSERT_TRUE(lanes.fully_infected());
+        const std::uint64_t marking = lanes.dense_rounds();
+        const std::uint64_t sampling = lanes.round() - marking;
+        switch (engine) {
+          case Engine::kSparse: EXPECT_EQ(marking, 0u); break;
+          case Engine::kDense: EXPECT_EQ(sampling, 0u); break;
+          default:
+            EXPECT_GT(marking, 0u);
+            EXPECT_GT(sampling, 0u);
+        }
+      }
+    }
   }
 }
 

@@ -106,6 +106,8 @@ TEST_F(KernelZeroAlloc, CobraDenseStepIncludingTheParallelCommit) {
 }
 
 // 2^14 vertices = 256 words: wide enough for 4 lanes on every BIPS scan.
+// The sparse engine runs only the full sampling scan (local writes into
+// the next-frontier bitset).
 TEST_F(KernelZeroAlloc, BipsSparsePlainVertexScan) {
   const graph::Graph g = graph::hypercube(14);
   for (const int lanes : kLaneCounts) {
@@ -118,6 +120,23 @@ TEST_F(KernelZeroAlloc, BipsSparsePlainVertexScan) {
         replay_allocations(p, [&] { p.reset(0); }, 12, kRounds);
     EXPECT_EQ(allocs, 0u);
     EXPECT_GT(p.infected_count(), 1u);
+    EXPECT_EQ(p.dense_rounds(), 0u);
+  }
+}
+
+TEST_F(KernelZeroAlloc, BipsAutoSwitchingBetweenRoundKinds) {
+  const graph::Graph g = graph::hypercube(14);
+  for (const int lanes : kLaneCounts) {
+    SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
+    BipsOptions opt;
+    opt.process.engine = Engine::kAuto;
+    opt.process.kernel_threads = lanes;
+    BipsProcess p(g, 0, opt);
+    const std::uint64_t allocs =
+        replay_allocations(p, [&] { p.reset(0); }, 14, kRounds);
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_GT(p.dense_rounds(), 0u);
+    EXPECT_LT(p.dense_rounds(), p.round());
   }
 }
 
