@@ -451,13 +451,14 @@ class FrontierKernel {
   /// The resolved in-round lane cap (>= 1; Config::kernel_threads).
   [[nodiscard]] int kernel_threads() const { return threads_; }
 
-  /// What every lane context shares: the lane's emission target, keyed
-  /// draw streams, a process-owned tally, and a lane-local StepMetrics
-  /// block folded into the kernel's after the join — the hot path never
-  /// touches a shared counter. The telemetry block goes last, so the cold
-  /// tail of one lane, not its target, borders the next lane's tally.
-  template <typename Target>
-  class Lane {
+  /// Per-lane context of the dense parallel scans: the lane's emission
+  /// target words (the shared destination for lane 0 and local-write
+  /// scans, a lane-owned scratch bitset otherwise), keyed draw streams, a
+  /// process-owned tally, and a lane-local StepMetrics block folded into
+  /// the kernel's after the join — the hot path never touches a shared
+  /// counter. The telemetry block goes last, so the cold tail of one
+  /// lane, not its target, borders the next lane's tally.
+  class DenseLane {
    public:
     /// The keyed word stream of `entity` — identical to
     /// FrontierKernel::draws, with lane-local stream accounting.
@@ -475,28 +476,16 @@ class FrontierKernel {
     /// scan returns the lane-ordered sum over all lanes.
     void tally(std::uint64_t count) { user_ += count; }
 
-   protected:
-    explicit Lane(Target target) : target_(target) {}
-    Target target_;
-
-   private:
-    friend class FrontierKernel;
-    std::uint64_t user_ = 0;
-    StepMetrics block_;
-  };
-
-  /// Per-lane emission context for the dense parallel scans: emits bits
-  /// into the lane's target words (the shared destination for lane 0 and
-  /// local-write scans, a lane-owned scratch bitset otherwise).
-  class DenseLane : public Lane<std::uint64_t*> {
-   public:
     /// Marks v in the lane's target bitset (idempotent: the bitset is the
     /// deduplication).
     void emit(graph::VertexId v) { target_[v >> 6] |= 1ull << (v & 63); }
 
    private:
     friend class FrontierKernel;
-    explicit DenseLane(std::uint64_t* words) : Lane(words) {}
+    explicit DenseLane(std::uint64_t* words) : target_(words) {}
+    std::uint64_t* target_;
+    std::uint64_t user_ = 0;
+    StepMetrics block_;
   };
 
   /// The lane a process body sees in a sparse round: one serial lane that

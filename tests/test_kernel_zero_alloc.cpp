@@ -1,5 +1,5 @@
 // Warm lane-parallel rounds allocate nothing: the frontier kernel sizes its
-// lane contexts, scratch bitsets, emission vectors and commit sums once,
+// lane contexts, scratch bitsets and commit sums once,
 // computes lane ranges arithmetically, and forks onto the calling thread's
 // persistent util::ForkJoinTeam, which publishes a job without touching
 // the heap. This suite replaces the global operator new with a counting
