@@ -57,14 +57,15 @@ void BM_NormalizedMatvec(benchmark::State& state) {
   const int id = static_cast<int>(state.range(0));
   const graph::Graph g = lanczos_graph(id);
   const graph::VertexId n = g.num_vertices();
-  std::vector<double> inv_sqrt_deg(n), x(n), y(n);
+  std::vector<double> inv_sqrt_deg(n), scaled_x(n), y(n);
   for (graph::VertexId u = 0; u < n; ++u) {
     inv_sqrt_deg[u] = 1.0 / std::sqrt(static_cast<double>(g.degree(u)));
-    x[u] = std::sin(static_cast<double>(u));
+    scaled_x[u] = std::sin(static_cast<double>(u)) * inv_sqrt_deg[u];
   }
   util::ForkJoinTeam serial(0);
   for (auto _ : state) {
-    spectral::apply_normalized_adjacency(g, inv_sqrt_deg, x, y, serial);
+    spectral::apply_normalized_adjacency(g, inv_sqrt_deg, scaled_x, y,
+                                         serial);
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }

@@ -53,21 +53,41 @@ TimeSamples estimate_cobra_cover(const graph::Graph& g,
                                  const ProcessOptions& options,
                                  graph::VertexId start,
                                  std::uint64_t replicates, std::uint64_t seed,
-                                 std::uint64_t max_rounds) {
+                                 std::uint64_t max_rounds,
+                                 const std::function<void()>& lead) {
   check_replicates(replicates);
   const ProcessOptions shared = share_sampler(g, options);
   std::vector<double> rounds(replicates, 0.0);
   std::vector<double> transmissions(replicates, 0.0);
-  sim::parallel_replicates(replicates, seed,
-                           [&](std::uint64_t i, rng::Rng& rng) {
-    CobraProcess process(g, shared);
-    process.reset(start);
-    const auto cover = process.run_until_cover(rng, max_rounds);
-    rounds[i] = cover.has_value() ? static_cast<double>(*cover)
-                                  : kTimeoutSentinel;
-    transmissions[i] = static_cast<double>(process.transmissions());
-  });
+  sim::parallel_replicates(
+      replicates, seed,
+      [&](std::uint64_t i, rng::Rng& rng) {
+        CobraProcess process(g, shared);
+        process.reset(start);
+        const auto cover = process.run_until_cover(rng, max_rounds);
+        rounds[i] = cover.has_value() ? static_cast<double>(*cover)
+                                      : kTimeoutSentinel;
+        transmissions[i] = static_cast<double>(process.transmissions());
+      },
+      lead);
   return collect(std::move(rounds), std::move(transmissions));
+}
+
+TimeSamples estimate_cobra_cover_during_solve(
+    const graph::Graph& g, const ProcessOptions& options,
+    graph::VertexId start, std::uint64_t replicates, std::uint64_t seed,
+    std::uint64_t provisional_cap,
+    const std::function<std::uint64_t()>& solve) {
+  std::uint64_t cap = 0;
+  TimeSamples samples =
+      estimate_cobra_cover(g, options, start, replicates, seed,
+                           provisional_cap, [&] { cap = solve(); });
+  COBRA_CHECK_MSG(cap >= provisional_cap,
+                  "round cap " << cap << " is below the provisional cap "
+                               << provisional_cap);
+  if (samples.timeouts > 0 && cap > provisional_cap)
+    samples = estimate_cobra_cover(g, options, start, replicates, seed, cap);
+  return samples;
 }
 
 TimeSamples estimate_cobra_hit(const graph::Graph& g,

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/bips.hpp"
@@ -22,12 +23,30 @@ struct TimeSamples {
   std::uint64_t timeouts = 0;
 };
 
-/// cover(start) over `replicates` independent COBRA runs.
+/// cover(start) over `replicates` independent COBRA runs. A non-empty
+/// `lead` runs on the calling thread while the replicates do (see
+/// sim::parallel_replicates); it does not change the samples.
 TimeSamples estimate_cobra_cover(const graph::Graph& g,
                                  const ProcessOptions& options,
                                  graph::VertexId start,
                                  std::uint64_t replicates, std::uint64_t seed,
-                                 std::uint64_t max_rounds);
+                                 std::uint64_t max_rounds,
+                                 const std::function<void()>& lead = {});
+
+/// estimate_cobra_cover at a round cap that only `solve` can tell (the
+/// Theorem 1.2 cell's cap needs lambda): the replicates run at
+/// `provisional_cap` while solve() runs on the calling thread as their
+/// lead, and solve() returns the true cap, which must be at least the
+/// provisional one. Only when a replicate timed out at the provisional cap
+/// does the estimate rerun at the true cap. A replicate that covers within
+/// the provisional cap covers identically within the true one (it draws
+/// the same stream), so the result always equals estimate_cobra_cover at
+/// the true cap.
+TimeSamples estimate_cobra_cover_during_solve(
+    const graph::Graph& g, const ProcessOptions& options,
+    graph::VertexId start, std::uint64_t replicates, std::uint64_t seed,
+    std::uint64_t provisional_cap,
+    const std::function<std::uint64_t()>& solve);
 
 /// Hit(start -> target) over `replicates` independent COBRA runs.
 TimeSamples estimate_cobra_hit(const graph::Graph& g,

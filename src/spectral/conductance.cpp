@@ -92,7 +92,7 @@ double estimate_conductance(const graph::Graph& g, std::uint64_t seed) {
   // A few dozen deflated power steps give a usable Fiedler-ish direction;
   // the sweep bound is valid regardless of convergence quality.
   rng::Rng rng = rng::make_stream(seed, 0xC0DD);
-  std::vector<double> x(n), y(n), inv_sqrt_deg(n), principal(n);
+  std::vector<double> x(n), x_scaled(n), y(n), inv_sqrt_deg(n), principal(n);
   for (graph::VertexId u = 0; u < n; ++u) {
     const double d = static_cast<double>(g.degree(u));
     COBRA_CHECK_MSG(d >= 1.0, "isolated vertex");
@@ -109,9 +109,12 @@ double estimate_conductance(const graph::Graph& g, std::uint64_t seed) {
   for (int it = 0; it < 80; ++it) {
     double c = 0.0;
     for (graph::VertexId u = 0; u < n; ++u) c += x[u] * principal[u];
-    for (graph::VertexId u = 0; u < n; ++u) x[u] -= c * principal[u];
+    for (graph::VertexId u = 0; u < n; ++u) {
+      x[u] -= c * principal[u];
+      x_scaled[u] = x[u] * inv_sqrt_deg[u];
+    }
     // Half-lazy operator (I + N)/2 avoids bipartite sign oscillation.
-    apply_normalized_adjacency(g, inv_sqrt_deg, x, y, team);
+    apply_normalized_adjacency(g, inv_sqrt_deg, x_scaled, y, team);
     double yn = 0.0;
     for (graph::VertexId u = 0; u < n; ++u) {
       y[u] = 0.5 * (x[u] + y[u]);

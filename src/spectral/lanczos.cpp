@@ -118,7 +118,7 @@ std::size_t matvec_workers(const graph::Graph& g) {
 
 void apply_normalized_adjacency(const graph::Graph& g,
                                 std::span<const double> inv_sqrt_deg,
-                                std::span<const double> x,
+                                std::span<const double> scaled_x,
                                 std::span<double> y,
                                 util::ForkJoinTeam& team) {
   const graph::VertexId n = g.num_vertices();
@@ -128,8 +128,7 @@ void apply_normalized_adjacency(const graph::Graph& g,
     const graph::VertexId end = std::min(n, begin + kMatvecChunkRows);
     for (graph::VertexId u = begin; u < end; ++u) {
       double acc = 0.0;
-      for (const graph::VertexId v : g.neighbors(u))
-        acc += x[v] * inv_sqrt_deg[v];
+      for (const graph::VertexId v : g.neighbors(u)) acc += scaled_x[v];
       y[u] = acc * inv_sqrt_deg[u];
     }
   });
@@ -203,15 +202,19 @@ LanczosResult lanczos_extremes(const graph::Graph& g, rng::Rng& rng) {
     for (double& value : principal) value /= pn;
   }
 
-  // The recurrence keeps v_{k-1}, v_k and w = N v_k - ..., nothing more.
-  std::vector<double> v_prev(n, 0.0), v(n), w(n);
+  // The recurrence keeps v_{k-1}, v_k, v_k ⊙ D^{-1/2} (the matvec's
+  // input) and w = N v_k - ..., nothing more.
+  std::vector<double> v_prev(n, 0.0), v(n), v_scaled(n), w(n);
   for (double& value : v) value = rng.uniform01() - 0.5;
   {
     const double c = dot(v, principal);
     for (graph::VertexId u = 0; u < n; ++u) v[u] -= c * principal[u];
     const double vn = std::sqrt(dot(v, v));
     COBRA_CHECK(vn > 1e-12);
-    for (double& value : v) value /= vn;
+    for (graph::VertexId u = 0; u < n; ++u) {
+      v[u] /= vn;
+      v_scaled[u] = v[u] * inv_sqrt_deg[u];
+    }
   }
 
   util::ForkJoinTeam team(matvec_workers(g));
@@ -226,7 +229,7 @@ LanczosResult lanczos_extremes(const graph::Graph& g, rng::Rng& rng) {
                              << ", steps = " << step << ", Ritz residual "
                              << result.lambda_err << " > "
                              << kLambdaResidualTol << ")");
-    apply_normalized_adjacency(g, inv_sqrt_deg, v, w, team);
+    apply_normalized_adjacency(g, inv_sqrt_deg, v_scaled, w, team);
     double a = dot(w, v);
     // Three-term recurrence, then project out the principal vector and
     // re-orthogonalise once against v_k (folded into alpha).
@@ -265,7 +268,10 @@ LanczosResult lanczos_extremes(const graph::Graph& g, rng::Rng& rng) {
     std::swap(v_prev, v);
     std::swap(v, w);
     const double inv_b = 1.0 / b;
-    for (double& value : v) value *= inv_b;
+    for (graph::VertexId u = 0; u < n; ++u) {
+      v[u] *= inv_b;
+      v_scaled[u] = v[u] * inv_sqrt_deg[u];
+    }
   }
   result.lambda = std::max(std::fabs(result.mu2), std::fabs(result.mu_min));
   return result;

@@ -22,7 +22,9 @@
 // The matvec rows run on one util::ForkJoinTeam per solve, in fixed
 // chunks of kMatvecChunkRows; every dot product and norm stays serial and
 // in index order. Each row is computed exactly as a serial loop computes
-// it, so a solve returns bit-identical results at every thread count.
+// it, so a solve returns bit-identical results at every thread count. The
+// solver keeps x ⊙ D^{-1/2} beside its vector x, filled in the pass that
+// last wrote x, so a matvec edge is one gather and no multiply.
 #pragma once
 
 #include <cstddef>
@@ -55,12 +57,14 @@ inline constexpr graph::VertexId kMatvecChunkRows = 1024;
 std::size_t matvec_workers(const graph::Graph& g);
 
 /// y = N x for N = D^{-1/2} A D^{-1/2}, given inv_sqrt_deg[u] =
-/// deg(u)^{-1/2}: the one matvec each Lanczos step costs. Rows are handed
-/// to `team` in chunks of kMatvecChunkRows; y[u] does not depend on the
-/// chunk or thread that computes it.
+/// deg(u)^{-1/2} and the pre-scaled vector scaled_x[v] = x[v] *
+/// inv_sqrt_deg[v]: y[u] = inv_sqrt_deg[u] * (sum of scaled_x over u's
+/// neighbours, in adjacency order). The one matvec each Lanczos step
+/// costs. Rows are handed to `team` in chunks of kMatvecChunkRows; y[u]
+/// does not depend on the chunk or thread that computes it.
 void apply_normalized_adjacency(const graph::Graph& g,
                                 std::span<const double> inv_sqrt_deg,
-                                std::span<const double> x,
+                                std::span<const double> scaled_x,
                                 std::span<double> y, util::ForkJoinTeam& team);
 
 /// Runs Lanczos from a random start vector drawn from `rng` until both

@@ -19,6 +19,8 @@ std::optional<int> threads_override;
 std::optional<std::string> graphs_override;
 std::optional<std::string> metrics_override;
 std::optional<int> kernel_threads_override;
+// The calling thread's ScopedThreadCap, 0 when none is alive.
+thread_local int thread_cap = 0;
 }  // namespace
 
 void set_scale_override(double value) {
@@ -103,12 +105,24 @@ std::uint32_t scaled_u32(std::int64_t base, std::int64_t min_value) {
 }
 
 int max_threads() {
-  if (threads_override) return *threads_override;
-  const auto hw = static_cast<std::int64_t>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  const std::int64_t cap = env_int("COBRA_THREADS", hw);
-  return static_cast<int>(std::clamp<std::int64_t>(cap, 1, 1024));
+  int threads = 0;
+  if (threads_override) {
+    threads = *threads_override;
+  } else {
+    const auto hw = static_cast<std::int64_t>(
+        std::max(1u, std::thread::hardware_concurrency()));
+    const std::int64_t cap = env_int("COBRA_THREADS", hw);
+    threads = static_cast<int>(std::clamp<std::int64_t>(cap, 1, 1024));
+  }
+  return thread_cap > 0 ? std::min(threads, thread_cap) : threads;
 }
+
+ScopedThreadCap::ScopedThreadCap(int cap) : saved_(thread_cap) {
+  cap = std::max(cap, 1);
+  thread_cap = saved_ > 0 ? std::min(saved_, cap) : cap;
+}
+
+ScopedThreadCap::~ScopedThreadCap() { thread_cap = saved_; }
 
 std::uint64_t global_seed() {
   if (seed_override) return *seed_override;

@@ -55,8 +55,26 @@ std::int64_t scaled(std::int64_t base, std::int64_t min_value = 1);
 /// exceeds 2^32 - 1 instead of letting the narrowing cast wrap it.
 std::uint32_t scaled_u32(std::int64_t base, std::int64_t min_value = 1);
 
-/// Worker thread cap (COBRA_THREADS), at least 1.
+/// Worker thread cap (COBRA_THREADS), at least 1, lowered on the calling
+/// thread by any ScopedThreadCap alive there.
 int max_threads();
+
+/// Caps max_threads() at `cap` (at least 1) on the calling thread until
+/// destroyed, then restores the previous cap; other threads are unaffected.
+/// Nested caps only lower it.
+/// The fork-join team sets it to 1 around a job's `lead`, so set-up that
+/// runs beside busy workers forks no team of its own.
+class ScopedThreadCap {
+ public:
+  explicit ScopedThreadCap(int cap);
+  ~ScopedThreadCap();
+
+  ScopedThreadCap(const ScopedThreadCap&) = delete;
+  ScopedThreadCap& operator=(const ScopedThreadCap&) = delete;
+
+ private:
+  int saved_;
+};
 
 /// Base seed for experiments (COBRA_SEED).
 std::uint64_t global_seed();

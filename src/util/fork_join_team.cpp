@@ -5,6 +5,7 @@
 #endif
 
 #include "util/assert.hpp"
+#include "util/env.hpp"
 
 namespace cobra::util {
 namespace {
@@ -16,6 +17,19 @@ inline void cpu_relax() {
 #else
   std::this_thread::yield();
 #endif
+}
+
+/// Runs a job's lead, if it has one, with the thread cap at 1; returns its
+/// exception instead of throwing, so the job still joins.
+std::exception_ptr run_lead(void* ctx, void (*lead)(void*)) {
+  if (lead == nullptr) return nullptr;
+  const ScopedThreadCap serial(1);
+  try {
+    lead(ctx);
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -40,11 +54,14 @@ void ForkJoinTeam::stop() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ForkJoinTeam::run_erased(std::size_t count, void* ctx, Invoke invoke) {
-  if (count == 0) return;
+void ForkJoinTeam::run_erased(std::size_t count, void* ctx, Invoke invoke,
+                              void* lead_ctx, LeadInvoke lead) {
+  if (count == 0 && lead == nullptr) return;
   COBRA_CHECK_MSG(!running_, "ForkJoinTeam::run is not re-entrant");
   COBRA_CHECK(count < kClosed);
-  if (threads_.empty()) {
+  std::exception_ptr lead_error;
+  if (threads_.empty() || count == 0) {
+    lead_error = run_lead(lead_ctx, lead);
     for (std::size_t i = 0; i < count; ++i) execute(invoke, ctx, i);
   } else {
     running_ = true;
@@ -61,6 +78,7 @@ void ForkJoinTeam::run_erased(std::size_t count, void* ctx, Invoke invoke) {
     claim_.store(generation, std::memory_order_release);
     epoch_.fetch_add(1);
     if (sleepers_.load() != 0) epoch_.notify_all();
+    lead_error = run_lead(lead_ctx, lead);
     drain();
     await_done(count);
     // Close the generation before the next job is written. The acquire
@@ -69,16 +87,21 @@ void ForkJoinTeam::run_erased(std::size_t count, void* ctx, Invoke invoke) {
     claim_.exchange(generation | kClosed, std::memory_order_acquire);
     running_ = false;
   }
-  if (failed_.load(std::memory_order_relaxed)) {
-    std::exception_ptr error;
-    {
-      MutexLock lock(error_mutex_);
-      error = std::move(error_);
-      error_ = nullptr;
-    }
-    failed_.store(false, std::memory_order_relaxed);
-    std::rethrow_exception(error);
+  const std::exception_ptr error = take_error();
+  if (lead_error) std::rethrow_exception(lead_error);
+  if (error) std::rethrow_exception(error);
+}
+
+std::exception_ptr ForkJoinTeam::take_error() {
+  if (!failed_.load(std::memory_order_relaxed)) return nullptr;
+  std::exception_ptr error;
+  {
+    MutexLock lock(error_mutex_);
+    error = std::move(error_);
+    error_ = nullptr;
   }
+  failed_.store(false, std::memory_order_relaxed);
+  return error;
 }
 
 void ForkJoinTeam::drain() {

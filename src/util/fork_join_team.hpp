@@ -10,6 +10,11 @@
 // atomic counter alongside the workers: whichever thread is free takes the
 // next index, the caller included, so a worker that is descheduled or still
 // asleep never stalls the job — the caller simply runs that index itself.
+// run(count, fn, lead) has the caller run lead() first, after publishing,
+// so serial set-up (a Theorem 1.2 cell's spectral solves) overlaps the
+// indices the workers already claim, with no thread beyond the team's;
+// inside lead() util::max_threads() reads 1, so the set-up forks nothing
+// onto the busy CPUs, and its allocations stay on the calling thread.
 // A round trip costs a cache-line handoff, not a queue push, a mutex and a
 // futex wake-up, and run() allocates nothing. Waiting threads (idle workers
 // and the caller joining the last indices) spin for kSpinPauses pauses and
@@ -62,15 +67,43 @@ class ForkJoinTeam {
   /// time, and fn must not call run() on the same team.
   template <typename Fn>
   void run(std::size_t count, Fn&& fn) {
-    using F = std::remove_reference_t<Fn>;
-    run_erased(count, const_cast<void*>(static_cast<const void*>(&fn)),
-               [](void* ctx, std::size_t i) { (*static_cast<F*>(ctx))(i); });
+    run_erased(count, erase(fn), invoke_index<Fn>, nullptr, nullptr);
+  }
+
+  /// As run(count, fn), and runs lead() exactly once on the calling thread,
+  /// under a util::ScopedThreadCap of 1, while the workers claim indices:
+  /// the job is published first, and the caller joins the claiming only
+  /// once lead() returns. A 0-worker team runs lead() and then every index;
+  /// lead() runs even when count is 0. If lead() throws, its exception is
+  /// rethrown, ahead of any index's, once every index has finished.
+  template <typename Fn, typename Lead>
+  void run(std::size_t count, Fn&& fn, Lead&& lead) {
+    run_erased(count, erase(fn), invoke_index<Fn>, erase(lead),
+               invoke_lead<Lead>);
   }
 
  private:
   using Invoke = void (*)(void*, std::size_t);
+  using LeadInvoke = void (*)(void*);
 
-  void run_erased(std::size_t count, void* ctx, Invoke invoke);
+  template <typename T>
+  static void* erase(T& callable) {
+    return const_cast<void*>(static_cast<const void*>(&callable));
+  }
+  template <typename Fn>
+  static void invoke_index(void* ctx, std::size_t i) {
+    (*static_cast<std::remove_reference_t<Fn>*>(ctx))(i);
+  }
+  template <typename Lead>
+  static void invoke_lead(void* ctx) {
+    (*static_cast<std::remove_reference_t<Lead>*>(ctx))();
+  }
+
+  void run_erased(std::size_t count, void* ctx, Invoke invoke, void* lead_ctx,
+                  LeadInvoke lead);
+
+  /// Moves out the recorded index exception (null when none was thrown).
+  std::exception_ptr take_error();
 
   /// Claims and runs indices of the published job until none is left.
   void drain();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "util/assert.hpp"
 #include "util/fork_join_team.hpp"
@@ -35,6 +39,62 @@ TEST(Estimators, DeterministicAcrossCalls) {
   const auto b = estimate_cobra_cover(g, ProcessOptions{}, 0, 32, 44, 1000);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.transmissions, b.transmissions);
+}
+
+void expect_same_samples(const TimeSamples& a, const TimeSamples& b) {
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.transmissions, b.transmissions);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+}
+
+TEST(Estimators, CoverWithALeadMatchesCoverWithout) {
+  const graph::Graph g = graph::cycle(257);
+  const auto plain =
+      estimate_cobra_cover(g, ProcessOptions{}, 0, 24, 47, 100000);
+  int lead_calls = 0;
+  const auto led = estimate_cobra_cover(g, ProcessOptions{}, 0, 24, 47,
+                                        100000, [&] { ++lead_calls; });
+  EXPECT_EQ(lead_calls, 1);
+  expect_same_samples(led, plain);
+}
+
+// The Theorem 1.2 cell's path: replicates at a provisional cap while the
+// solve runs, rerun at the solved cap only if one timed out.
+TEST(Estimators, ProvisionalCapRerunEqualsADirectEstimateAtTheFinalCap) {
+  const graph::Graph g = graph::cycle(1025);
+  constexpr std::uint64_t kFinalCap = 1000000;
+  const auto direct =
+      estimate_cobra_cover(g, ProcessOptions{}, 0, 24, 48, kFinalCap);
+  ASSERT_EQ(direct.timeouts, 0u);
+  // A provisional cap at the median cover time: about half the replicates
+  // finish under it and the rest time out.
+  std::vector<double> sorted = direct.rounds;
+  std::sort(sorted.begin(), sorted.end());
+  const auto provisional = static_cast<std::uint64_t>(sorted[12]);
+  ASSERT_LT(sorted.front(), sorted.back());
+  // The provisional run has timeouts and the direct one none, so equal
+  // samples show the rerun happened. A provisional cap above every cover
+  // time needs no rerun and gives the same samples too.
+  for (const std::uint64_t cap :
+       {provisional, std::uint64_t{5}, std::uint64_t{100000}}) {
+    SCOPED_TRACE(::testing::Message() << "provisional cap " << cap);
+    int solves = 0;
+    const auto samples = estimate_cobra_cover_during_solve(
+        g, ProcessOptions{}, 0, 24, 48, cap, [&] {
+          ++solves;
+          return kFinalCap;
+        });
+    EXPECT_EQ(solves, 1);
+    expect_same_samples(samples, direct);
+  }
+}
+
+TEST(Estimators, SolvedCapBelowTheProvisionalOneIsRefused) {
+  const graph::Graph g = graph::cycle(64);
+  EXPECT_THROW(estimate_cobra_cover_during_solve(
+                   g, ProcessOptions{}, 0, 4, 50, 1000,
+                   [] { return std::uint64_t{999}; }),
+               util::CheckError);
 }
 
 TEST(Estimators, SeedChangesSamples) {

@@ -1,7 +1,8 @@
 // util::ForkJoinTeam: every index runs exactly once whoever claims it,
 // back-to-back jobs never lose a wake-up, parked workers rejoin, the
-// lowest throwing index is rethrown only after every index finished, and
-// teams shut down cleanly from any state.
+// lowest throwing index is rethrown only after every index finished, a
+// job's lead runs once on the caller beside the workers with the thread
+// cap at 1, and teams shut down cleanly from any state.
 #include "util/fork_join_team.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/env.hpp"
 
 namespace cobra::util {
 namespace {
@@ -181,6 +184,123 @@ TEST(ForkJoinTeam, LowestThrowingIndexIsRethrownAfterEveryIndexFinishes) {
     ASSERT_TRUE(worker_started.load()) << "no worker ever claimed an index";
     ASSERT_EQ(thrown.size(), 2u);
     EXPECT_EQ(e.index, std::min(thrown[0], thrown[1]));
+  }
+}
+
+/// Spins until `flag` is set or 30 s pass; returns the flag.
+bool wait_for(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  return flag.load();
+}
+
+TEST(ForkJoinTeam, LeadRunsOnceOnTheCallerWhileWorkersClaim) {
+  // The lead waits for a worker to finish an index: it sees one only if
+  // the job was published before the lead started and the workers claimed
+  // without the caller.
+  ForkJoinTeam team(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr std::size_t kCount = 16;
+  std::vector<std::atomic<int>> hits(kCount);
+  std::atomic<bool> worker_finished{false};
+  int lead_calls = 0;
+  bool lead_saw_worker = false;
+  team.run(
+      kCount,
+      [&](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+        if (std::this_thread::get_id() != caller) worker_finished.store(true);
+      },
+      [&] {
+        ++lead_calls;
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        lead_saw_worker = wait_for(worker_finished);
+      });
+  EXPECT_EQ(lead_calls, 1);
+  EXPECT_TRUE(lead_saw_worker) << "no worker claimed while the lead ran";
+  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(ForkJoinTeam, LeadReadsAThreadCapOfOneThatIsRestoredAfterwards) {
+  set_threads_override(4);
+  ForkJoinTeam team(2);
+  std::atomic<int> index_cap_violations{0};
+  int lead_cap = 0;
+  for (int round = 0; round < 2; ++round) {
+    team.run(
+        8,
+        [&](std::size_t) {
+          if (max_threads() != 4) ++index_cap_violations;
+        },
+        [&] {
+          lead_cap = max_threads();
+          // A nested cap only lowers it, and unwinds to the lead's.
+          {
+            const ScopedThreadCap two(2);
+            EXPECT_EQ(max_threads(), 1);
+          }
+          EXPECT_EQ(max_threads(), 1);
+        });
+    EXPECT_EQ(lead_cap, 1);
+    EXPECT_EQ(max_threads(), 4) << "restored after round " << round;
+  }
+  EXPECT_EQ(index_cap_violations.load(), 0)
+      << "the cap leaked to the indices";
+  clear_env_overrides();
+}
+
+TEST(ForkJoinTeam, LeadExceptionIsRethrownFirstAfterEveryIndexFinishes) {
+  set_threads_override(3);
+  for (const std::size_t workers : {0u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    ForkJoinTeam team(workers);
+    constexpr std::size_t kCount = 32;
+    std::atomic<std::size_t> finished{0};
+    try {
+      team.run(
+          kCount,
+          [&](std::size_t i) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            ++finished;
+            if (i == 3) throw IndexError(i);
+          },
+          [] { throw std::logic_error("lead"); });
+      FAIL() << "run() swallowed the lead's exception";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "lead");
+      EXPECT_EQ(finished.load(), kCount);
+    }
+    EXPECT_EQ(max_threads(), 3) << "the cap unwinds with the exception";
+    // The index exception did not linger into the next job.
+    EXPECT_NO_THROW(team.run(4, [](std::size_t) {}));
+  }
+  clear_env_overrides();
+}
+
+TEST(ForkJoinTeam, WorkerlessTeamRunsTheLeadThenTheIndices) {
+  ForkJoinTeam team(0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  team.run(
+      5,
+      [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(static_cast<int>(i));
+      },
+      [&] { order.push_back(-1); });
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4}));
+}
+
+TEST(ForkJoinTeam, LeadRunsEvenWithoutIndices) {
+  for (const std::size_t workers : {0u, 2u}) {
+    ForkJoinTeam team(workers);
+    int lead_calls = 0;
+    team.run(
+        0, [](std::size_t) { FAIL() << "must not be called"; },
+        [&] { ++lead_calls; });
+    EXPECT_EQ(lead_calls, 1) << "workers=" << workers;
   }
 }
 
