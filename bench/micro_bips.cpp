@@ -10,9 +10,13 @@
 //   BM_BipsRoundThreads  — the dense round's lane scaling;
 //   BM_BipsFullInfection — end-to-end infec(source) runs;
 //   BM_BipsInfectionLanes/<graph>/<L> — whole auto-engine infections at L
-//                          lanes on the expander-prebaked graphs; its
+//                          lanes on the expander-prebaked graphs, and at 1
+//                          lane on cycle_4096 and torus_64x64; its
 //                          round_us counter is the per-round wall time
-//                          perfbench reports as kernel.bips.round_us.
+//                          perfbench reports as kernel.bips.round_us, and
+//                          draws_per_round counts the vertices that drew
+//                          (a marking round settles determined ones
+//                          without drawing).
 //
 // The committed baseline bench_results/BENCH_bips.json is produced by this
 // binary (see README.md "Performance" for the regeneration command) and
@@ -28,6 +32,7 @@
 #include <string>
 
 #include "core/bips.hpp"
+#include "core/metrics.hpp"
 #include "graph/generators.hpp"
 #include "graph/random_generators.hpp"
 #include "rng/stream.hpp"
@@ -159,11 +164,14 @@ void BM_BipsInfectionLanes(benchmark::State& state, int graph_id,
   // One iteration is one auto-engine infec(source) run on a fresh stream,
   // as a workload cell's replicate pays it. Timed in wall time; round_us
   // divides the runs' wall time by the rounds run, like
-  // kernel.bips.round_us.
+  // kernel.bips.round_us, and draws_per_round divides the kernel's
+  // draw_streams the same way.
   const graph::Graph& g = bench_graph(graph_id);
+  StepMetrics metrics;
   BipsOptions opt;
   opt.process.engine = Engine::kAuto;
   opt.process.kernel_threads = lanes;
+  opt.process.metrics = &metrics;
   BipsProcess p(g, 0, opt);
   std::uint64_t replicate = 0;
   std::uint64_t rounds = 0;
@@ -179,18 +187,24 @@ void BM_BipsInfectionLanes(benchmark::State& state, int graph_id,
   state.counters["round_us"] =
       std::chrono::duration<double, std::micro>(run_time).count() /
       static_cast<double>(rounds);
+  state.counters["draws_per_round"] =
+      static_cast<double>(metrics.draw_streams) / static_cast<double>(rounds);
 }
 
 const bool kInfectionLanesRegistered = [] {
+  const auto add = [](int graph_id, int lanes) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_BipsInfectionLanes/") + graph_name(graph_id) + "/" +
+         std::to_string(lanes))
+            .c_str(),
+        BM_BipsInfectionLanes, graph_id, lanes)
+        ->Unit(benchmark::kMillisecond)
+        ->UseRealTime();
+  };
   for (const int graph_id : {kNumGraphs - 1, kComplete2048})
-    for (const int lanes : {1, 2, 4})
-      benchmark::RegisterBenchmark(
-          (std::string("BM_BipsInfectionLanes/") + graph_name(graph_id) +
-           "/" + std::to_string(lanes))
-              .c_str(),
-          BM_BipsInfectionLanes, graph_id, lanes)
-          ->Unit(benchmark::kMillisecond)
-          ->UseRealTime();
+    for (const int lanes : {1, 2, 4}) add(graph_id, lanes);
+  // Low-degree graphs, where marking rounds settle most vertices.
+  for (const int graph_id : {3, 1}) add(graph_id, 1);
   return true;
 }();
 

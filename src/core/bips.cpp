@@ -17,6 +17,11 @@ namespace {
 /// outcomes dominate.
 constexpr double kDenseEdgeBudget = 1.0;
 
+/// Bit v of a bitset's words.
+bool test_bit(const std::uint64_t* words, graph::VertexId v) {
+  return ((words[v >> 6] >> (v & 63)) & 1) != 0;
+}
+
 }  // namespace
 
 double bips_infection_probability(std::uint32_t d, std::uint32_t da,
@@ -133,32 +138,31 @@ std::uint32_t BipsProcess::step(rng::Rng& rng) {
   return infected_count();
 }
 
-bool BipsProcess::catches_infection(graph::VertexId u,
-                                    VertexDraws& draws) const {
-  const Branching& b = options_.process.branching;
-  std::uint32_t fanout = b.base;
-  if (b.extra_prob > 0.0 && draws.bernoulli(b.extra_prob)) ++fanout;
-  const NeighborSampler& sampler = kernel_.sampler();
-  // Early exit is legal: the draws are counter-based, so skipping the
-  // remaining selections cannot shift any other vertex's randomness.
-  for (std::uint32_t j = 0; j < fanout; ++j)
-    if (kernel_.in_frontier(sampler.sample(u, draws.next_word())))
-      return true;
-  return false;
-}
-
 void BipsProcess::step_sampling(std::uint64_t round_key) {
-  // Local-write scan over every vertex: each vertex tests its draws
-  // against the frontier bitset and sets only its own next-frontier bit.
-  kernel_.local_vertex_scan(
-      [&](FrontierKernel::DenseLane& lane, graph::VertexId u) {
-        if (source_set_.test(u)) {
-          lane.emit(u);
-          return;
-        }
-        VertexDraws draws = lane.draws(round_key, u);
-        if (catches_infection(u, draws)) lane.emit(u);
-      });
+  // Local-write scan over every vertex: each vertex tests all of its
+  // selections against the frontier words and sets only its own
+  // next-frontier bit, with no branch on the outcome (with |A_t| near n/2
+  // an early exit would be a coin flip).
+  const Branching branching = options_.process.branching;
+  const std::uint64_t* frontier = kernel_.frontier_words();
+  const std::uint64_t* sources = source_set_.words().data();
+  kernel_.sampler().with_rows([&](const auto rows) {
+    kernel_.local_vertex_scan(
+        [round_key, branching, rows, frontier, sources](
+            FrontierKernel::DenseLane& lane, graph::VertexId u) {
+          if (test_bit(sources, u)) {
+            lane.emit(u);
+            return;
+          }
+          VertexDraws draws = lane.draws(round_key, u);
+          const std::uint32_t fanout = draw_fanout(branching, draws);
+          const auto row = rows(u);
+          bool hit = false;
+          for (std::uint32_t j = 0; j < fanout; ++j)
+            hit |= test_bit(frontier, row(draws.next_word()));
+          lane.emit_if(u, hit);
+        });
+  });
 }
 
 void BipsProcess::step_marking(std::uint64_t round_key) {
@@ -167,44 +171,65 @@ void BipsProcess::step_marking(std::uint64_t round_key) {
   if (scratch_.size() != n) scratch_.resize(n);
   scratch_.reset_all();
   std::uint64_t* next = kernel_.next_words();
-  const std::uint32_t a = kernel_.frontier_size();
-
-  const auto sample_marked = [&] {
-    // Local-write scan: each marked vertex emits only its own bit, so the
-    // lanes write disjoint next-frontier words with no scratch merge.
-    kernel_.local_marked_scan(
-        scratch_, [&](FrontierKernel::DenseLane& lane, graph::VertexId u) {
-          if (source_set_.test(u)) return;
-          VertexDraws draws = lane.draws(round_key, u);
-          if (catches_infection(u, draws)) lane.emit(u);
-        });
+  // S, the small side: A_t, or V \ A_t. Only vertices with a selection
+  // target in S are marked — N(S), and S itself with laziness — since
+  // every other vertex's selections all land on the far side.
+  const bool small_infected = 2ull * kernel_.frontier_size() <= n;
+  const auto mark = [&](FrontierKernel::DenseLane& lane, graph::VertexId v) {
+    if (lazy) lane.emit(v);
+    for (const graph::VertexId w : graph_->neighbors(v)) lane.emit(w);
   };
-
-  if (2ull * a <= n) {
-    // Small infected side: only candidates = N(A_t) (∪ A_t with laziness)
-    // can catch the infection; everyone else is determined-uninfected and
-    // draws nothing.
-    kernel_.scatter_frontier_scan(
-        scratch_, [&](FrontierKernel::DenseLane& lane, graph::VertexId v) {
-          if (lazy) lane.emit(v);
-          for (const graph::VertexId w : graph_->neighbors(v)) lane.emit(w);
-        });
-    sample_marked();
+  if (small_infected) {
+    // Unmarked vertices cannot hit A_t: they stay uninfected.
+    kernel_.scatter_frontier_scan(scratch_, mark);
   } else {
-    // Small uninfected side: only the undetermined boundary = N(V \ A_t)
-    // (∪ V \ A_t with laziness) can miss; everyone else is determined-
-    // infected, installed word-parallel as the complement of the marks.
-    kernel_.scatter_complement_scan(
-        scratch_, [&](FrontierKernel::DenseLane& lane, graph::VertexId u) {
-          if (lazy) lane.emit(u);
-          for (const graph::VertexId w : graph_->neighbors(u)) lane.emit(w);
-        });
+    // Unmarked vertices cannot miss A_t: they are infected, installed
+    // word-parallel as the complement of the marks.
+    kernel_.scatter_complement_scan(scratch_, mark);
     const auto& marked = scratch_.words();
     for (std::size_t w = 0; w < marked.size(); ++w) next[w] = ~marked[w];
     const std::size_t tail = static_cast<std::size_t>(n) & 63;
     if (tail != 0) next[marked.size() - 1] &= (1ull << tail) - 1;
-    sample_marked();
   }
+
+  // A marked vertex of S whose neighbours all lie in S is determined too:
+  // every selection (there is at least one, as base >= 1) lands in S,
+  // whether it moves or stays. It is settled without drawing. The test
+  // looks only inside S, where such interiors are common; outside S it
+  // would almost always fail. Only the rest draw, with early exit on the
+  // first hit (the draws are counter-based, so skipping some shifts no
+  // other vertex's).
+  const Branching branching = options_.process.branching;
+  const std::uint64_t* frontier = kernel_.frontier_words();
+  const std::uint64_t* sources = source_set_.words().data();
+  const std::uint64_t flip = small_infected ? 0 : ~0ull;  // S's bits read 1
+  kernel_.sampler().with_rows([&](const auto rows) {
+    kernel_.local_marked_scan(
+        scratch_, [round_key, branching, rows, frontier, sources, flip,
+                   small_infected](FrontierKernel::DenseLane& lane,
+                                   graph::VertexId u) {
+          if (test_bit(sources, u)) return;
+          const auto in_small = [&](graph::VertexId v) {
+            return (((frontier[v >> 6] ^ flip) >> (v & 63)) & 1) != 0;
+          };
+          const auto row = rows(u);
+          bool determined = in_small(u);
+          for (std::uint32_t k = 0; determined && k < row.degree; ++k)
+            determined = in_small(row.neighbors[k]);
+          if (determined) {
+            lane.emit_if(u, small_infected);
+            return;
+          }
+          VertexDraws draws = lane.draws(round_key, u);
+          const std::uint32_t fanout = draw_fanout(branching, draws);
+          for (std::uint32_t j = 0; j < fanout; ++j) {
+            if (test_bit(frontier, row(draws.next_word()))) {
+              lane.emit(u);
+              return;
+            }
+          }
+        });
+  });
   // The persistent sources are infected whatever they drew.
   for (const graph::VertexId s : sources_) next[s >> 6] |= 1ull << (s & 63);
 }

@@ -14,14 +14,23 @@
 // lane count, and differ only in cost. A_t always lives in the kernel's
 // frontier bitset; the engine picks the round's algorithm. The sampling
 // round (sparse engine) scans every vertex, lane-parallel with each lane
-// writing only its own next-frontier words. The marking round (dense
+// writing only its own next-frontier words; each vertex tests all of its
+// selections and sets its bit branch-free. The marking round (dense
 // engine) exploits determined outcomes: a vertex whose selections cannot
 // miss (every neighbour infected, and with laziness also itself) is
 // infected without drawing, and one whose selections cannot hit stays
-// uninfected without drawing — so a round costs O(min(d(A_t), d(V \ A_t)))
-// marking plus draws for the undetermined boundary only, instead of
-// O(n·b). The auto engine picks per round by a cost score. The law is
-// pinned to the exact subset DP (core/bips_exact) by tests.
+// uninfected without drawing. It marks N(S) (∪ S with laziness) from the
+// smaller side S of A_t and V \ A_t: unmarked vertices have no selection
+// target in S and are settled wholesale (left out, or installed as
+// complement words). Among the marked, a vertex of S whose neighbours
+// all lie in S is settled by reading its CSR row against the frontier
+// words, again without drawing. Only the remaining, undetermined
+// boundary draws, with early exit on the first hit. So a round costs
+// O(min(d(A_t), d(V \ A_t))) marking plus draws for the undetermined
+// boundary only, instead of O(n·b). The auto engine picks per round by
+// a cost score. The law is pinned to the exact subset DP
+// (core/bips_exact) by tests, and every engine to a naive statement of
+// the rule round by round (tests/test_bips_engines.cpp).
 #pragma once
 
 #include <cstdint>
@@ -37,10 +46,10 @@
 
 namespace cobra::core {
 
-/// The one BIPS execution kernel: b keyed draws per vertex with early
-/// exit. Kept as a type only because perfbench/replay.cpp names it.
+/// The one BIPS execution kernel: b keyed draws per undetermined vertex.
+/// Kept as a type only because perfbench/replay.cpp names it.
 enum class BipsKernel {
-  kSampling,  ///< b keyed draws per vertex with early exit
+  kSampling,  ///< b keyed draws per undetermined vertex
 };
 
 /// BipsProcess configuration.
@@ -158,13 +167,6 @@ class BipsProcess {
 
   void step_sampling(std::uint64_t round_key);
   void step_marking(std::uint64_t round_key);
-
-  /// Keyed selection trial of vertex u against the current A_t: true iff
-  /// any of u's fanout selections hits an infected vertex (early exit —
-  /// legal because the draws are counter-based, not sequential). The
-  /// caller owns the draw stream so parallel lanes can account for it in
-  /// their lane-local telemetry block.
-  bool catches_infection(graph::VertexId u, VertexDraws& draws) const;
 
   const graph::Graph* graph_;
   BipsOptions options_;

@@ -46,18 +46,20 @@ std::uint32_t CobraProcess::step(rng::Rng& rng) {
   // representation the kernel picks cannot affect the outcome.
   const std::uint64_t round_key = rng.next_u64();
   kernel_.begin_round(kernel_.density_score(kernel_.frontier_size()));
-  const Branching& branching = options_.branching;
-  const NeighborSampler& sampler = kernel_.sampler();
-  const std::uint64_t transmissions = kernel_.frontier_scan<Sink::kCoalescing>(
-      [&](auto& lane, graph::VertexId u) {
-        VertexDraws draws = lane.draws(round_key, u);
-        std::uint32_t fanout = branching.base;
-        if (branching.extra_prob > 0.0 &&
-            draws.bernoulli(branching.extra_prob))
-          ++fanout;
-        lane.tally(fanout);
-        for (std::uint32_t j = 0; j < fanout; ++j)
-          lane.emit(sampler.sample(u, draws.next_word()));
+  const Branching branching = options_.branching;
+  // A lean body (core/frontier_kernel.hpp): invariants captured by
+  // value, the push rule picked once per round from the laziness.
+  const std::uint64_t transmissions = kernel_.sampler().with_rows(
+      [&](const auto rows) {
+        return kernel_.frontier_scan<Sink::kCoalescing>(
+            [round_key, branching, rows](auto& lane, graph::VertexId u) {
+              VertexDraws draws = lane.draws(round_key, u);
+              const std::uint32_t fanout = draw_fanout(branching, draws);
+              lane.tally(fanout);
+              const auto row = rows(u);
+              for (std::uint32_t j = 0; j < fanout; ++j)
+                lane.emit(row(draws.next_word()));
+            });
       });
   transmissions_ += transmissions;
   const std::uint32_t newly = kernel_.commit(FrontierKernel::Commit::kReplace);

@@ -120,6 +120,11 @@ void FrontierKernel::assign(std::span<const graph::VertexId> starts) {
     if (track_visited_ && visited_.set_and_test(u)) ++visited_count_;
   }
   num_active_ = static_cast<std::uint32_t>(active_.size());
+  if (engine_ == Engine::kDense) {
+    ensure_bitsets();
+    frontier_.reset_all();
+    for (const graph::VertexId u : active_) frontier_.set(u);
+  }
 }
 
 const std::vector<graph::VertexId>& FrontierKernel::frontier_vector() const {

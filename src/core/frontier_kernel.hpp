@@ -49,6 +49,17 @@
 //   4. commit(kReplace | kAccumulate) — swap or grow the frontier, merge
 //      the visited set, return the number of first visits.
 //
+// Lean bodies: a body captures its loop invariants by value — the round
+// key, the branching, the sampler's Rows, and any frontier words it
+// reads — since an invariant held by reference is re-read after every
+// emit, whose uint64_t store may alias it. NeighborSampler::with_rows
+// hands the body the plain or the lazy Rows once per round, so the body
+// is written once and never branches on laziness per push; rows(u) loads
+// u's CSR row once for all of u's selections. A body that tests
+// membership reads frontier_words() rather than in_frontier(), which
+// branches on the representation; that needs the bitset to hold the
+// frontier, which a kernel configured kDense guarantees from assign() on.
+//
 // Sink rules (Sink, stated at the scan call):
 //   * kCoalescing — a vertex enters at most once per round (COBRA's
 //     coalescing rule): epoch stamps in sparse rounds, the bitset itself
@@ -187,27 +198,70 @@ class NeighborSampler {
   /// reference to the graph, which must outlive it.
   NeighborSampler(const graph::Graph& g, double laziness);
 
-  /// Maps a uniform 64-bit `word` to the destination of one push from `u`.
-  /// Exact up to the 2^-32 fixed-point quantisation of the slot choice —
-  /// far below Monte-Carlo noise, and identical across engines by design.
+  /// One vertex's push rule with its CSR row loaded: row(word) maps a
+  /// uniform 64-bit word to a destination, and `neighbors`/`degree` are
+  /// the row itself (BIPS reads them to settle determined vertices).
   ///
-  /// A plain push takes slot ((word >> 32) * deg) >> 32. That is the
-  /// column rng::AliasTable::sample_word picks over deg equal weights, and
-  /// such a table keeps every column it picks: each scaled weight is the
-  /// same double, so Vose's loop pairs nothing and every threshold is
-  /// exactly 1.0, above any accept value. test_neighbor_sampler pins the
-  /// two paths to each other.
+  /// A plain push (Lazy = false) takes slot ((word >> 32) * deg) >> 32.
+  /// That is the column rng::AliasTable::sample_word picks over deg equal
+  /// weights, and such a table keeps every column it picks: each scaled
+  /// weight is the same double, so Vose's loop pairs nothing and every
+  /// threshold is exactly 1.0, above any accept value.
+  /// test_neighbor_sampler pins the two paths to each other.
+  template <bool Lazy>
+  struct Row {
+    const graph::VertexId* neighbors;
+    std::uint32_t degree;
+    graph::VertexId self;
+    const rng::AliasTable* table;  // Lazy only: the table of this degree
+
+    [[nodiscard]] graph::VertexId operator()(std::uint64_t word) const {
+      if constexpr (Lazy) {
+        const std::uint32_t slot = table->sample_word(word);
+        return slot < degree ? neighbors[slot] : self;
+      } else {
+        if (degree == 0) return self;
+        return neighbors[((word >> 32) * degree) >> 32];
+      }
+    }
+  };
+
+  /// The push rules of every vertex, over the CSR and table arrays read
+  /// into plain pointers once: rows(u) loads u's row. Copy it into a round
+  /// body by value, so the body's stores cannot force the arrays to be
+  /// re-read.
+  template <bool Lazy>
+  struct Rows {
+    const std::uint64_t* offsets;
+    const graph::VertexId* adj;
+    const std::uint32_t* bucket_of_degree;  // Lazy only
+    const rng::AliasTable* tables;          // Lazy only
+
+    [[nodiscard]] Row<Lazy> operator()(graph::VertexId u) const {
+      const std::uint64_t begin = offsets[u];
+      const auto degree = static_cast<std::uint32_t>(offsets[u + 1] - begin);
+      const rng::AliasTable* table = nullptr;
+      if constexpr (Lazy) table = &tables[bucket_of_degree[degree]];
+      return Row<Lazy>{adj + begin, degree, u, table};
+    }
+  };
+
+  /// Calls fn(rows) with this sampler's Rows<false> (laziness 0) or
+  /// Rows<true>, so a round body is written once and picks its rule once
+  /// per round rather than once per push. Returns what fn returns.
+  template <typename Fn>
+  decltype(auto) with_rows(Fn&& fn) const {
+    if (laziness_ == 0.0) return fn(rows<false>());
+    return fn(rows<true>());
+  }
+
+  /// Maps a uniform 64-bit `word` to the destination of one push from `u`
+  /// (the Row rule for one push). Exact up to the 2^-32 fixed-point
+  /// quantisation of the slot choice — far below Monte-Carlo noise, and
+  /// identical across engines by design.
   [[nodiscard]] graph::VertexId sample(graph::VertexId u,
                                        std::uint64_t word) const {
-    const std::uint32_t degree = graph_->degree(u);
-    if (laziness_ == 0.0) {
-      if (degree == 0) return u;
-      return graph_->neighbor(
-          u, static_cast<std::uint32_t>(((word >> 32) * degree) >> 32));
-    }
-    const rng::AliasTable& table = tables_[bucket_of_degree_[degree]];
-    const std::uint32_t slot = table.sample_word(word);
-    return slot < degree ? graph_->neighbor(u, slot) : u;
+    return with_rows([&](const auto& r) { return r(u)(word); });
   }
 
   /// The laziness the tables were built for (validated against
@@ -222,6 +276,12 @@ class NeighborSampler {
   [[nodiscard]] std::size_t num_buckets() const { return tables_.size(); }
 
  private:
+  template <bool Lazy>
+  [[nodiscard]] Rows<Lazy> rows() const {
+    return Rows<Lazy>{graph_->offsets().data(), graph_->adjacency().data(),
+                      bucket_of_degree_.data(), tables_.data()};
+  }
+
   const graph::Graph* graph_;
   double laziness_;
   std::vector<std::uint32_t> bucket_of_degree_;  // degree -> index in tables_
@@ -268,6 +328,12 @@ class VertexDraws {
   std::uint64_t base_;
   std::uint64_t counter_ = 0;
 };
+
+/// Selections a vertex makes this round under `b`: b.base, plus one with
+/// probability b.extra_prob, drawn from `draws` before the selections.
+inline std::uint32_t draw_fanout(const Branching& b, VertexDraws& draws) {
+  return b.base + (b.extra_prob > 0.0 && draws.bernoulli(b.extra_prob));
+}
 
 /// How a process's emissions enter the next frontier, stated at each
 /// FrontierKernel round scan.
@@ -356,8 +422,9 @@ class FrontierKernel {
   // --- frontier lifecycle ------------------------------------------------
 
   /// Resets the kernel: frontier = deduplicated `starts` (sparse
-  /// representation), visited = starts (when tracked), dense round counter
-  /// cleared.
+  /// representation, mirrored into the bitset for frontier_words() when
+  /// the engine is kDense), visited = starts (when tracked), dense round
+  /// counter cleared.
   void assign(std::span<const graph::VertexId> starts);
 
   /// |frontier| in O(1).
@@ -367,6 +434,14 @@ class FrontierKernel {
   /// representation).
   [[nodiscard]] bool in_frontier(graph::VertexId u) const {
     return dense_repr_ ? frontier_.test(u) : stamp_[u] == epoch_;
+  }
+
+  /// The frontier bitset's words, for bodies that test membership by
+  /// reading them directly. Valid in the dense representation, and from
+  /// assign() on in a kernel configured Engine::kDense: assign() mirrors
+  /// the start set into the bitset there, so it holds A_0 as well.
+  [[nodiscard]] const std::uint64_t* frontier_words() const {
+    return frontier_.words().data();
   }
 
   /// The current frontier as a vector. Order is representation-dependent:
@@ -479,6 +554,12 @@ class FrontierKernel {
     /// Marks v in the lane's target bitset (idempotent: the bitset is the
     /// deduplication).
     void emit(graph::VertexId v) { target_[v >> 6] |= 1ull << (v & 63); }
+
+    /// Marks v iff `on`, without a branch (a local-write scan's body
+    /// settles its own vertex this way).
+    void emit_if(graph::VertexId v, bool on) {
+      target_[v >> 6] |= static_cast<std::uint64_t>(on) << (v & 63);
+    }
 
    private:
     friend class FrontierKernel;

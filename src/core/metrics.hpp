@@ -66,7 +66,9 @@ struct StepMetrics {
   /// Sparse-sink suppressions: within-round coalescing (CoalescingSink)
   /// plus already-visited drops (GrowthSink).
   std::uint64_t dedup_hits = 0;
-  /// VertexDraws streams created via FrontierKernel::draws.
+  /// VertexDraws streams created via FrontierKernel::draws (or a lane's
+  /// draws). A vertex whose outcome is determined draws no stream: BIPS
+  /// marking rounds settle such vertices without drawing.
   std::uint64_t draw_streams = 0;
   /// Dense bitset words iterated by frontier scans.
   std::uint64_t words_scanned = 0;

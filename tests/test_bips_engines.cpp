@@ -7,7 +7,11 @@
 //     cycle, hypercube and random-regular fixtures;
 //   * the dense boundary-marking round skips exactly the determined
 //     vertices, with and without laziness, and the auto engine switches at
-//     both density extremes.
+//     both density extremes;
+//   * every engine and lane count follows, round by round, a naive
+//     statement of the BIPS rule written here: every non-source vertex
+//     draws its selections and is infected iff one lands in A_t. Rounds
+//     that settle some vertices without drawing must agree with it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -195,6 +199,141 @@ TEST(BipsEngines, SharedSamplerReproducesPerProcessResults) {
   BipsProcess p_own(g, 0, own);
   BipsProcess p_shared(g, 0, shared);
   expect_lockstep_identical(p_own, p_shared, 99, 20000);
+}
+
+/// The BIPS rule as the paper states it, with no marking and no skipped
+/// draws: A_{t+1} is the sources plus every vertex u that makes its
+/// selections from VertexDraws(round_key, u) — the extra selection's coin
+/// first — and hits A_t with one of them.
+std::vector<bool> naive_next(const graph::Graph& g,
+                             const std::vector<bool>& infected,
+                             const std::vector<graph::VertexId>& sources,
+                             const ProcessOptions& options,
+                             const NeighborSampler& lazy_sampler,
+                             std::uint64_t round_key) {
+  std::vector<bool> next(g.num_vertices(), false);
+  for (graph::VertexId u = 0; u < g.num_vertices(); ++u) {
+    VertexDraws draws(round_key, u);
+    std::uint32_t selections = options.branching.base;
+    const double extra = options.branching.extra_prob;
+    if (extra > 0.0 && (extra >= 1.0 || draws.uniform01() < extra))
+      ++selections;
+    for (std::uint32_t j = 0; j < selections && !next[u]; ++j) {
+      const std::uint64_t word = draws.next_word();
+      graph::VertexId v = 0;
+      if (options.laziness == 0.0) {
+        const std::uint64_t slot = ((word >> 32) * g.degree(u)) >> 32;
+        v = g.neighbor(u, static_cast<std::uint32_t>(slot));
+      } else {
+        v = lazy_sampler.sample(u, word);
+      }
+      next[u] = infected[v];
+    }
+  }
+  for (const graph::VertexId s : sources) next[s] = true;
+  return next;
+}
+
+struct NaiveRun {
+  bool saw_small_infected = false;    // a round began with 2|A_t| <= n
+  bool saw_small_uninfected = false;  // a round began with 2|A_t| > n
+};
+
+/// Runs `p` from `sources` to full infection (plus two absorbing rounds)
+/// in lockstep with naive_next, asserting A_t agrees every round.
+NaiveRun expect_matches_naive_rule(BipsProcess& p,
+                                   std::span<const graph::VertexId> sources,
+                                   std::uint64_t seed) {
+  const graph::Graph& g = p.graph();
+  const ProcessOptions& options = p.options().process;
+  const NeighborSampler lazy_sampler(g, options.laziness);
+  const std::vector<graph::VertexId> source_list(sources.begin(),
+                                                 sources.end());
+  p.reset(sources);
+  std::vector<bool> infected(g.num_vertices(), false);
+  for (const graph::VertexId s : sources) infected[s] = true;
+  rng::Rng rng = rng::make_stream(seed, 0);
+  NaiveRun seen;
+  int absorbing = 0;
+  for (int t = 0; t < 100000 && absorbing < 2; ++t) {
+    const std::uint32_t a = p.infected_count();
+    (2ull * a <= g.num_vertices() ? seen.saw_small_infected
+                                  : seen.saw_small_uninfected) = true;
+    rng::Rng key_stream = rng;  // the round key step() is about to draw
+    const std::uint64_t round_key = key_stream.next_u64();
+    infected = naive_next(g, infected, source_list, options, lazy_sampler,
+                          round_key);
+    p.step(rng);
+    for (graph::VertexId u = 0; u < g.num_vertices(); ++u)
+      EXPECT_EQ(p.is_infected(u), infected[u])
+          << g.name() << ", round " << t << ", vertex " << u;
+    if (::testing::Test::HasFailure()) return seen;
+    if (p.fully_infected()) ++absorbing;
+  }
+  EXPECT_EQ(absorbing, 2) << g.name() << " never fully infected";
+  return seen;
+}
+
+std::vector<ProcessOptions> naive_rule_options() {
+  ProcessOptions plain;
+  ProcessOptions lazy;
+  lazy.laziness = 0.5;
+  ProcessOptions one_plus_rho;
+  one_plus_rho.branching = Branching::one_plus_rho(0.3);
+  return {plain, lazy, one_plus_rho};
+}
+
+TEST(BipsEngines, EveryEngineAndLaneCountMatchesTheNaiveRule) {
+  rng::Rng gen = test_rng(8);
+  const graph::Graph graphs[] = {
+      graph::cycle(130), graph::torus_power(17, 2), graph::hypercube(6),
+      graph::connected_random_regular(130, 4, gen)};
+  for (const graph::Graph& g : graphs) {
+    const graph::VertexId sources[] = {0, g.num_vertices() / 2};
+    for (const ProcessOptions& base : naive_rule_options()) {
+      for (const Engine e : kAllEngines) {
+        for (const int lanes : {1, 2, 4}) {
+          BipsOptions opt;
+          opt.process = base;
+          opt.process.engine = e;
+          opt.process.kernel_threads = lanes;
+          BipsProcess p(g, 0, opt);
+          // Two runs on one process: the second begins after a reset()
+          // from a fully infected state.
+          for (const std::uint64_t seed : {1201, 1202}) {
+            const NaiveRun seen = expect_matches_naive_rule(p, sources, seed);
+            ASSERT_FALSE(::testing::Test::HasFailure())
+                << g.name() << ", " << engine_name(e) << ", lanes " << lanes
+                << ", laziness " << base.laziness << ", extra "
+                << base.branching.extra_prob << ", seed " << seed;
+            EXPECT_TRUE(seen.saw_small_infected && seen.saw_small_uninfected)
+                << g.name() << ": A_t stayed on one side of n/2";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BipsEngines, ForkedRoundsMatchTheNaiveRule) {
+  // torus_128_d2 is wide enough (256 words at degree 4) that the marking
+  // and sampling scans fork two lanes, so determined interiors are
+  // settled on several threads at once.
+  const graph::Graph g = graph::torus_power(128, 2);
+  const graph::VertexId sources[] = {0, g.num_vertices() / 2};
+  for (const ProcessOptions& base : naive_rule_options()) {
+    if (base.branching.extra_prob > 0.0) continue;
+    for (const Engine e : {Engine::kSparse, Engine::kDense}) {
+      BipsOptions opt;
+      opt.process = base;
+      opt.process.engine = e;
+      opt.process.kernel_threads = 4;
+      BipsProcess p(g, 0, opt);
+      expect_matches_naive_rule(p, sources, 1301);
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << engine_name(e) << ", laziness " << base.laziness;
+    }
+  }
 }
 
 TEST(BipsEngines, SharedSamplerMustMatchGraphAndLaziness) {
