@@ -1,7 +1,8 @@
 // Graph generator throughput (experiments regenerate graphs per
 // configuration, so generation must stay cheap relative to simulation;
 // BM_GenRandomRegular/65536/8 and BM_GenComplete/2048 are the graphs the
-// expander-prebaked perfbench workload bakes),
+// expander-prebaked perfbench workload bakes, and BM_GenRandomRegular/8192/8
+// and /8192/32 are cells of the Theorem 1.2 experiment at --scale 8),
 // plus the BM_GraphIo* axis: the same workhorse graph obtained by
 // in-process generation vs loading a pre-baked binary .cgr (owned copy
 // vs O(header) mmap open vs mmap + full adjacency scan). The committed
@@ -76,6 +77,8 @@ void BM_GenRandomRegular(benchmark::State& state) {
 BENCHMARK(BM_GenRandomRegular)
     ->Args({1 << 12, 4})
     ->Args({1 << 12, 16})
+    ->Args({1 << 13, 8})
+    ->Args({1 << 13, 32})
     ->Args({1 << 16, 8})
     ->Unit(benchmark::kMillisecond);
 

@@ -134,39 +134,53 @@ void fill_stubs(VertexId n, std::uint32_t r, std::vector<VertexId>& stubs) {
 
 /// One pairing-model attempt: a Fisher–Yates shuffle of the n·r stubs
 /// (rng::Rng::shuffle's draws), whose consecutive pairs are the edges.
-/// Step i fixes position i-1, so pair (2k, 2k+1) is checked against the
-/// n×r partner table as soon as it is final. At the first self-loop or
-/// parallel edge the attempt has failed: swapping stops, but every
-/// remaining rng.below(i) is still drawn, so the stream advances exactly
-/// as a full shuffle would. On success each vertex's r partners sit,
-/// unsorted, in partners[v*r, (v+1)*r).
+/// Every attempt draws rng.below(i) for i = n·r, ..., 2 whether it fails
+/// or not, so all a failed attempt tells the caller is that it failed.
+/// Step i fixes position i-1, so pair (2k, 2k+1) is final once step 2k+1
+/// has run: the shuffle tests each pair for a self-loop as it completes
+/// (one compare) and, at the first one, stops swapping and only draws the
+/// rest. Draws come in blocks of kBlock, and each block's stub lines are
+/// prefetched before its swaps, so their cache misses overlap. A shuffle
+/// with no self-loop builds the n×r partner table from its pairs,
+/// rejecting at the first parallel edge; on success each vertex's r
+/// partners sit, unsorted, in partners[v*r, (v+1)*r).
 bool try_pairing(VertexId n, std::uint32_t r, rng::Rng& rng,
                  std::vector<VertexId>& stubs, std::vector<VertexId>& partners,
                  std::vector<std::uint32_t>& count) {
+  constexpr std::uint64_t kBlock = 32;
   fill_stubs(n, r, stubs);
-  count.assign(n, 0);
-  auto pair_up = [&](VertexId a, VertexId b) {
-    if (a == b) return false;
-    const VertexId* first = partners.data() + static_cast<std::size_t>(a) * r;
-    if (std::find(first, first + count[a], b) != first + count[a])
-      return false;
-    partners[static_cast<std::size_t>(a) * r + count[a]++] = b;
-    partners[static_cast<std::size_t>(b) * r + count[b]++] = a;
-    return true;
-  };
-
-  std::uint64_t i = stubs.size();
-  bool simple = true;
-  for (; i > 1 && simple; --i) {
-    std::swap(stubs[i - 1], stubs[rng.below(i)]);
-    // An even position completes a pair; the last step fixes 1 and 0.
-    if ((i - 1) % 2 == 0)
-      simple = pair_up(stubs[i - 1], stubs[i]);
-    else if (i == 2)
-      simple = pair_up(stubs[0], stubs[1]);
+  VertexId* const s = stubs.data();
+  std::uint64_t j[kBlock] = {};
+  std::uint64_t i = stubs.size();  // the next draw is rng.below(i)
+  bool self_loop = false;
+  while (i > 1 && !self_loop) {
+    const std::uint64_t block = std::min(kBlock, i - 1);
+    for (std::uint64_t k = 0; k < block; ++k) {
+      j[k] = rng.below(i - k);
+      __builtin_prefetch(s + j[k], 1);
+    }
+    for (std::uint64_t k = 0; k < block && !self_loop; ++k) {
+      const std::uint64_t fixed = i - 1 - k;
+      std::swap(s[fixed], s[j[k]]);
+      // An even position completes a pair (pair (0, 1) is tested below).
+      self_loop = fixed % 2 == 0 && s[fixed] == s[fixed + 1];
+    }
+    i -= block;
   }
   for (; i > 1; --i) rng.below(i);  // the rest of the full shuffle's draws
-  return simple;
+  if (self_loop || s[0] == s[1]) return false;
+
+  count.assign(n, 0);
+  for (std::size_t p = 0; p < stubs.size(); p += 2) {
+    const VertexId a = s[p];
+    const VertexId b = s[p + 1];
+    VertexId* const first = partners.data() + static_cast<std::size_t>(a) * r;
+    if (std::find(first, first + count[a], b) != first + count[a])
+      return false;
+    first[count[a]++] = b;
+    partners[static_cast<std::size_t>(b) * r + count[b]++] = a;
+  }
+  return true;
 }
 
 /// Pairing attempt that keeps collisions, then repairs them with random

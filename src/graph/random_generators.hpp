@@ -21,16 +21,23 @@ namespace cobra::graph {
 Graph erdos_renyi_gnp(VertexId n, double p, rng::Rng& rng);
 
 /// Uniform-ish random r-regular simple graph via the pairing (configuration)
-/// model with rejection, falling back to local edge-switch repairs after
-/// `max_restarts` collisions (repairs introduce negligible bias for the
-/// sizes used here). Requires n*r even, 1 <= r < n.
+/// model with rejection, falling back to local edge-switch repairs once
+/// the attempts run out (repairs introduce negligible bias for the sizes
+/// used here). Requires n*r even, 1 <= r < n. Up to r = 8 it makes
+/// `max_restarts` attempts; above r = 8 only `max_restarts / 8 + 1`, so
+/// `max_restarts = 0` still makes one attempt there before the repair.
 ///
-/// Draw-stream contract: every rejected attempt draws a full shuffle of
-/// the n·r stubs, so the rejection loop's draws are part of the instance.
-/// The graph and the state `rng` is left in are pinned by the golden test
-/// (tests/test_graph_golden.cpp); skipping attempts known to fail (the
-/// success probability is ~ exp(-(r²-1)/4)) would change every instance
-/// and needs a generator-version bump with regenerated archives.
+/// Draw-stream contract: every attempt draws a full Fisher–Yates shuffle
+/// of the n·r stubs, rng.below(i) for i = n·r, ..., 2, whether it fails
+/// or not, so the rejection loop's draws are part of the instance. A
+/// failed attempt is detected without being built: the shuffle tests each
+/// pair for a self-loop as it completes and, at the first one, only draws
+/// the rest; a shuffle without self-loops is rejected at its first
+/// parallel edge. The graph and the state `rng` is left in are pinned by
+/// the golden test (tests/test_graph_golden.cpp); skipping attempts known
+/// to fail (the success probability is ~ exp(-(r²-1)/4)) would change
+/// every instance and needs a generator-version bump with regenerated
+/// archives.
 ///
 /// Near-complete degrees (r > (n-1)/2) can stall the repair, which then
 /// has too few good edges to switch with: when its guard trips, the

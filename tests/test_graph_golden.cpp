@@ -10,14 +10,23 @@
 // and r = 4 at n = 64), the repair fallback after 64 failed attempts
 // (r = 4 at n = 1024, r = 8) or with no attempt at all, and the
 // shortened restart cap above r = 8 (r = 16, 24, 32). Deterministic rows
-// take their stream only to prove they draw nothing.
+// take their stream only to prove they draw nothing. The last two
+// random-regular rows (regular_65536_r8, the graph the expander-prebaked
+// benchmark bakes, and a Theorem 1.2 cell at n = 8192) were recorded on
+// the first-collision attempt loop, before the self-loop scan replaced
+// it; RandomRegularMatchesFirstCollisionReference checks the two loops
+// against each other over a grid of streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <ios>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/random_generators.hpp"
@@ -63,7 +72,7 @@ void expect_golden(const std::array<GoldenCase, N>& cases) {
 
 // Recorded before the flat-set / partner-table construction path existed,
 // on the code it replaced.
-const std::array<GoldenCase, 19> kRandomRegular = {{
+const std::array<GoldenCase, 21> kRandomRegular = {{
     {"random_regular(16,r=1)",
      [](rng::Rng& g) { return random_regular(16, 1, g); },
      0x4f2c6ef1f6acad63ull,
@@ -159,6 +168,16 @@ const std::array<GoldenCase, 19> kRandomRegular = {{
      0x233fac18dc36395ull,
      {0x1e81286ddfb0ba90ull, 0xba042790f37337fbull,
       0xc59897a32cd5686dull, 0xe645563aea264009ull}},
+    {"spec regular_65536_r8",
+     [](rng::Rng&) { return build_graph_spec("regular_65536_r8"); },
+     0x8da53bc46ccdb929ull,
+     {0xd127cc9ce638b906ull, 0x101b46ad4bbd39a3ull,
+      0xae0b2c0afcff149bull, 0x590a6568ee533f3dull}},
+    {"random_regular(8192,r=8)",
+     [](rng::Rng& g) { return random_regular(8192, 8, g); },
+     0xdedd9e08f7d43781ull,
+     {0xc0d32a8b11313175ull, 0xc33af5a2aa74748bull,
+      0xb2af1d41f6550283ull, 0x32717eb9d7d2b8a7ull}},
 }};
 
 const std::array<GoldenCase, 26> kDeterministic = {{
@@ -345,6 +364,126 @@ const std::array<GoldenCase, 9> kOtherRandom = {{
 TEST(GraphGolden, RandomRegular) { expect_golden(kRandomRegular); }
 TEST(GraphGolden, DeterministicFamilies) { expect_golden(kDeterministic); }
 TEST(GraphGolden, OtherRandomFamilies) { expect_golden(kOtherRandom); }
+
+// --- Differential oracle for random_regular's rejection loop -----------
+
+// The pairing model's stubs before the shuffle: vertex v, r times.
+std::vector<VertexId> unshuffled_stubs(VertexId n, std::uint32_t r) {
+  std::vector<VertexId> stubs;
+  for (VertexId v = 0; v < n; ++v) stubs.insert(stubs.end(), r, v);
+  return stubs;
+}
+
+// The reference: the first-collision pairing attempt random_regular used
+// before its self-loop scan. It runs the shuffle step by step, tests each
+// pair against the partner table as soon as it is final, stops swapping
+// at the first self-loop or parallel edge and then only draws the rest.
+// Its graph, when it succeeds, is the sorted partner table.
+std::optional<Graph> reference_pairing(VertexId n, std::uint32_t r,
+                                       rng::Rng& rng) {
+  std::vector<VertexId> stubs = unshuffled_stubs(n, r);
+  std::vector<VertexId> partners(stubs.size());
+  std::vector<std::uint32_t> count(n, 0);
+  auto pair_up = [&](VertexId a, VertexId b) {
+    if (a == b) return false;
+    const VertexId* first = partners.data() + static_cast<std::size_t>(a) * r;
+    if (std::find(first, first + count[a], b) != first + count[a])
+      return false;
+    partners[static_cast<std::size_t>(a) * r + count[a]++] = b;
+    partners[static_cast<std::size_t>(b) * r + count[b]++] = a;
+    return true;
+  };
+  std::uint64_t i = stubs.size();
+  bool simple = true;
+  for (; i > 1 && simple; --i) {
+    std::swap(stubs[i - 1], stubs[rng.below(i)]);
+    if ((i - 1) % 2 == 0)
+      simple = pair_up(stubs[i - 1], stubs[i]);
+    else if (i == 2)
+      simple = pair_up(stubs[0], stubs[1]);
+  }
+  for (; i > 1; --i) rng.below(i);
+  if (!simple) return std::nullopt;
+  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1);
+  for (std::size_t v = 0; v <= n; ++v) offsets[v] = v * r;
+  for (std::size_t v = 0; v < n; ++v)
+    std::sort(partners.begin() + static_cast<std::ptrdiff_t>(v * r),
+              partners.begin() + static_cast<std::ptrdiff_t>((v + 1) * r));
+  return Graph(std::move(offsets), std::move(partners));
+}
+
+enum class AttemptFate { kSelfLoop, kDuplicateOnly, kSimple };
+
+// What the full shuffle an attempt draws from `rng` pairs up, read off
+// the finished shuffle, independently of either attempt's early exit.
+AttemptFate classify_attempt(VertexId n, std::uint32_t r, rng::Rng rng) {
+  std::vector<VertexId> stubs = unshuffled_stubs(n, r);
+  rng.shuffle(stubs.begin(), stubs.end());
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (std::size_t p = 0; p < stubs.size(); p += 2) {
+    if (stubs[p] == stubs[p + 1]) return AttemptFate::kSelfLoop;
+    edges.emplace_back(std::minmax(stubs[p], stubs[p + 1]));
+  }
+  std::sort(edges.begin(), edges.end());
+  return std::adjacent_find(edges.begin(), edges.end()) != edges.end()
+             ? AttemptFate::kDuplicateOnly
+             : AttemptFate::kSimple;
+}
+
+// random_regular(n, r, rng, R) against the reference attempt loop over a
+// grid of streams: same graph and same final RNG state. The loop makes R
+// attempts at r <= 8 and R/8 + 1 above. When every attempt fails, the
+// reference hands the stream to random_regular(n, r, Rng(state), 0),
+// which goes straight to the repair at r <= 8; above r = 8 that call
+// still makes one attempt, so the hand-over happens before the last
+// reference attempt (which failed). Near-complete degrees (2r > n - 1)
+// are left out: there a stalled repair draws a complement with
+// max_restarts attempts, which the hand-over call cannot reproduce.
+TEST(GraphGolden, RandomRegularMatchesFirstCollisionReference) {
+  int self_loop_rejects = 0, duplicate_only_rejects = 0;
+  int success_after_reject = 0, repairs = 0;
+  for (std::uint64_t stream = 0; stream < 520; ++stream) {
+    rng::Rng pick = rng::make_stream(kGoldenSeed + 1, stream);
+    const std::uint32_t r = 3 + static_cast<std::uint32_t>(pick.below(8));
+    VertexId n = static_cast<VertexId>(pick.range(
+        std::max<std::int64_t>(6, 2 * r + 1), 300));
+    if ((static_cast<std::uint64_t>(n) * r) % 2 != 0) ++n;
+    for (const std::uint32_t max_restarts : {1u, 4u, 64u}) {
+      SCOPED_TRACE(::testing::Message() << "stream " << stream << " n=" << n
+                                        << " r=" << r
+                                        << " max_restarts=" << max_restarts);
+      const rng::Rng start = rng::make_stream(kGoldenSeed, stream);
+      rng::Rng actual_rng = start;
+      const Graph actual = random_regular(n, r, actual_rng, max_restarts);
+
+      const std::uint32_t attempts =
+          r <= 8 ? max_restarts : max_restarts / 8 + 1;
+      rng::Rng ref_rng = start;
+      rng::Rng before_last = start;
+      std::optional<Graph> expected;
+      for (std::uint32_t a = 0; a < attempts && !expected; ++a) {
+        const AttemptFate fate = classify_attempt(n, r, ref_rng);
+        before_last = ref_rng;
+        expected = reference_pairing(n, r, ref_rng);
+        ASSERT_EQ(expected.has_value(), fate == AttemptFate::kSimple);
+        if (fate == AttemptFate::kSelfLoop) ++self_loop_rejects;
+        if (fate == AttemptFate::kDuplicateOnly) ++duplicate_only_rejects;
+        if (expected && a > 0) ++success_after_reject;
+      }
+      if (!expected) {
+        ++repairs;
+        ref_rng = r <= 8 ? ref_rng : before_last;
+        expected = random_regular(n, r, ref_rng, 0);
+      }
+      EXPECT_EQ(actual.fingerprint(), expected->fingerprint());
+      EXPECT_EQ(actual_rng.state(), ref_rng.state());
+    }
+  }
+  EXPECT_GT(self_loop_rejects, 0);
+  EXPECT_GT(duplicate_only_rejects, 0);
+  EXPECT_GT(success_after_reject, 0);
+  EXPECT_GT(repairs, 0);
+}
 
 }  // namespace
 }  // namespace cobra::graph
