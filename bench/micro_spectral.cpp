@@ -1,14 +1,12 @@
 // Spectral solver cost: the regular-graph experiments compute lambda per
 // instance. BM_Lanczos reports its steps and certified residual; one step
 // should cost a small multiple of BM_NormalizedMatvec on the same graph
-// (scripts/check_step_bench.py --suite spectral gates that ratio), so both
-// run on one thread. BM_LanczosThreads runs the same solves with the
-// matvec team at 4 threads, so the team's speed-up shows by layer.
+// (scripts/check_step_bench.py --suite spectral gates that ratio). Both
+// run on the calling thread, as every spectral solve does.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -16,8 +14,6 @@
 #include "rng/stream.hpp"
 #include "spectral/dense.hpp"
 #include "spectral/lanczos.hpp"
-#include "util/env.hpp"
-#include "util/fork_join_team.hpp"
 
 namespace {
 
@@ -62,10 +58,8 @@ void BM_NormalizedMatvec(benchmark::State& state) {
     inv_sqrt_deg[u] = 1.0 / std::sqrt(static_cast<double>(g.degree(u)));
     scaled_x[u] = std::sin(static_cast<double>(u)) * inv_sqrt_deg[u];
   }
-  util::ForkJoinTeam serial(0);
   for (auto _ : state) {
-    spectral::apply_normalized_adjacency(g, inv_sqrt_deg, scaled_x, y,
-                                         serial);
+    spectral::apply_normalized_adjacency(g, inv_sqrt_deg, scaled_x, y);
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
@@ -74,11 +68,9 @@ void BM_NormalizedMatvec(benchmark::State& state) {
 BENCHMARK(BM_NormalizedMatvec)->DenseRange(0, kNumGraphs - 1)
     ->Unit(benchmark::kMicrosecond);
 
-// Solves lanczos_graph(range(0)) with the thread cap at `threads`.
-void run_lanczos(benchmark::State& state, int threads) {
+void BM_Lanczos(benchmark::State& state) {
   const int id = static_cast<int>(state.range(0));
   const graph::Graph g = lanczos_graph(id);
-  util::set_threads_override(threads);
   std::uint64_t salt = 0;
   double steps = 0.0, worst_err = 0.0;
   for (auto _ : state) {
@@ -92,25 +84,10 @@ void run_lanczos(benchmark::State& state, int threads) {
   state.counters["steps"] =
       benchmark::Counter(steps, benchmark::Counter::kAvgIterations);
   state.counters["lambda_err"] = worst_err;
-  util::clear_env_overrides();
-}
-
-void BM_Lanczos(benchmark::State& state) {
-  run_lanczos(state, 1);
-  state.SetLabel(lanczos_graph_name(static_cast<int>(state.range(0))));
+  state.SetLabel(lanczos_graph_name(id));
 }
 BENCHMARK(BM_Lanczos)->DenseRange(0, kNumGraphs - 1)
     ->Unit(benchmark::kMillisecond);
-
-void BM_LanczosThreads(benchmark::State& state) {
-  constexpr int kThreads = 4;
-  run_lanczos(state, kThreads);
-  state.SetLabel(std::string(lanczos_graph_name(
-                     static_cast<int>(state.range(0)))) +
-                 "/threads_" + std::to_string(kThreads));
-}
-BENCHMARK(BM_LanczosThreads)->DenseRange(0, kNumGraphs - 1)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

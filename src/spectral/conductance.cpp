@@ -105,7 +105,6 @@ double estimate_conductance(const graph::Graph& g, std::uint64_t seed) {
   for (double& value : principal) value /= pn;
 
   for (double& value : x) value = rng.uniform01() - 0.5;
-  util::ForkJoinTeam team(matvec_workers(g));
   for (int it = 0; it < 80; ++it) {
     double c = 0.0;
     for (graph::VertexId u = 0; u < n; ++u) c += x[u] * principal[u];
@@ -114,7 +113,7 @@ double estimate_conductance(const graph::Graph& g, std::uint64_t seed) {
       x_scaled[u] = x[u] * inv_sqrt_deg[u];
     }
     // Half-lazy operator (I + N)/2 avoids bipartite sign oscillation.
-    apply_normalized_adjacency(g, inv_sqrt_deg, x_scaled, y, team);
+    apply_normalized_adjacency(g, inv_sqrt_deg, x_scaled, y);
     double yn = 0.0;
     for (graph::VertexId u = 0; u < n; ++u) {
       y[u] = 0.5 * (x[u] + y[u]);

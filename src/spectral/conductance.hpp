@@ -28,9 +28,8 @@ double sweep_conductance(const graph::Graph& g,
                          const std::vector<double>& score);
 
 /// Convenience: sweep over the second eigenvector direction obtained from a
-/// few deflated power iterations. Upper bound on phi. The power steps'
-/// matvecs run on a team of matvec_workers(g) threads (spectral/lanczos),
-/// and the result does not depend on the thread count.
+/// few deflated power iterations. Upper bound on phi. Runs on the calling
+/// thread, so the result does not depend on the thread count.
 double estimate_conductance(const graph::Graph& g, std::uint64_t seed = 1);
 
 }  // namespace cobra::spectral

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "util/assert.hpp"
-#include "util/env.hpp"
 
 namespace cobra::spectral {
 
@@ -108,30 +107,16 @@ struct RitzExtreme {
 
 }  // namespace
 
-std::size_t matvec_workers(const graph::Graph& g) {
-  const std::size_t chunks =
-      (static_cast<std::size_t>(g.num_vertices()) + kMatvecChunkRows - 1) /
-      kMatvecChunkRows;
-  const auto threads = static_cast<std::size_t>(util::max_threads());
-  return std::min(threads, std::max<std::size_t>(chunks, 1)) - 1;
-}
-
 void apply_normalized_adjacency(const graph::Graph& g,
                                 std::span<const double> inv_sqrt_deg,
                                 std::span<const double> scaled_x,
-                                std::span<double> y,
-                                util::ForkJoinTeam& team) {
+                                std::span<double> y) {
   const graph::VertexId n = g.num_vertices();
-  const std::size_t chunks = (n + kMatvecChunkRows - 1) / kMatvecChunkRows;
-  team.run(chunks, [&](std::size_t chunk) {
-    const auto begin = static_cast<graph::VertexId>(chunk * kMatvecChunkRows);
-    const graph::VertexId end = std::min(n, begin + kMatvecChunkRows);
-    for (graph::VertexId u = begin; u < end; ++u) {
-      double acc = 0.0;
-      for (const graph::VertexId v : g.neighbors(u)) acc += scaled_x[v];
-      y[u] = acc * inv_sqrt_deg[u];
-    }
-  });
+  for (graph::VertexId u = 0; u < n; ++u) {
+    double acc = 0.0;
+    for (const graph::VertexId v : g.neighbors(u)) acc += scaled_x[v];
+    y[u] = acc * inv_sqrt_deg[u];
+  }
 }
 
 std::size_t tridiagonal_count_below(std::span<const double> alpha,
@@ -217,7 +202,6 @@ LanczosResult lanczos_extremes(const graph::Graph& g, rng::Rng& rng) {
     }
   }
 
-  util::ForkJoinTeam team(matvec_workers(g));
   std::vector<double> alpha, neg_alpha, beta;
   RitzExtreme top, bottom;  // bottom tracks the top of -T
   LanczosResult result;
@@ -229,7 +213,7 @@ LanczosResult lanczos_extremes(const graph::Graph& g, rng::Rng& rng) {
                              << ", steps = " << step << ", Ritz residual "
                              << result.lambda_err << " > "
                              << kLambdaResidualTol << ")");
-    apply_normalized_adjacency(g, inv_sqrt_deg, v_scaled, w, team);
+    apply_normalized_adjacency(g, inv_sqrt_deg, v_scaled, w);
     double a = dot(w, v);
     // Three-term recurrence, then project out the principal vector and
     // re-orthogonalise once against v_k (folded into alpha).

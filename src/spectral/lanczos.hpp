@@ -19,12 +19,12 @@
 // interlacing the top one never decreases and the bottom one never
 // increases — so the test costs a few O(k) passes per step.
 //
-// The matvec rows run on one util::ForkJoinTeam per solve, in fixed
-// chunks of kMatvecChunkRows; every dot product and norm stays serial and
-// in index order. Each row is computed exactly as a serial loop computes
-// it, so a solve returns bit-identical results at every thread count. The
-// solver keeps x ⊙ D^{-1/2} beside its vector x, filled in the pass that
-// last wrote x, so a matvec edge is one gather and no multiply.
+// A solve runs on its calling thread: the matvec rows, dot products and
+// norms are plain loops in index order, so the result depends only on the
+// graph and the start vector, never on the thread count or on what else
+// the process runs. The solver keeps x ⊙ D^{-1/2} beside its vector x,
+// filled in the pass that last wrote x, so a matvec edge is one gather and
+// no multiply.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +33,6 @@
 
 #include "graph/graph.hpp"
 #include "rng/rng.hpp"
-#include "util/fork_join_team.hpp"
 
 namespace cobra::spectral {
 
@@ -48,30 +47,21 @@ struct LanczosResult {
   std::uint32_t steps = 0;  // matvecs (= Lanczos steps) taken
 };
 
-/// Rows per matvec chunk: the unit a solve's team claims.
-inline constexpr graph::VertexId kMatvecChunkRows = 1024;
-
-/// Worker threads for the matvec team of one solve on `g`:
-/// util::max_threads() - 1, capped so every thread has a chunk — 0 (no
-/// thread spawned) when g fits in one chunk.
-std::size_t matvec_workers(const graph::Graph& g);
-
 /// y = N x for N = D^{-1/2} A D^{-1/2}, given inv_sqrt_deg[u] =
 /// deg(u)^{-1/2} and the pre-scaled vector scaled_x[v] = x[v] *
 /// inv_sqrt_deg[v]: y[u] = inv_sqrt_deg[u] * (sum of scaled_x over u's
-/// neighbours, in adjacency order). The one matvec each Lanczos step
-/// costs. Rows are handed to `team` in chunks of kMatvecChunkRows; y[u]
-/// does not depend on the chunk or thread that computes it.
+/// neighbours, in adjacency order), row by row on the calling thread. The
+/// one matvec each Lanczos step costs.
 void apply_normalized_adjacency(const graph::Graph& g,
                                 std::span<const double> inv_sqrt_deg,
                                 std::span<const double> scaled_x,
-                                std::span<double> y, util::ForkJoinTeam& team);
+                                std::span<double> y);
 
 /// Runs Lanczos from a random start vector drawn from `rng` until both
 /// extreme Ritz residuals are <= kLambdaResidualTol or the Krylov space is
-/// exhausted. The matvecs run on a team of matvec_workers(g) threads.
-/// Throws util::CheckError naming the graph, n, steps and residual if that
-/// takes more than n + a small slack steps.
+/// exhausted, on the calling thread. Throws util::CheckError naming the
+/// graph, n, steps and residual if that takes more than n + a small slack
+/// steps.
 LanczosResult lanczos_extremes(const graph::Graph& g, rng::Rng& rng);
 
 /// Number of eigenvalues below `x` of the symmetric tridiagonal matrix

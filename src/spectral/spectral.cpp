@@ -19,12 +19,11 @@
 
 namespace cobra::spectral {
 
-SpectralInfo compute_lambda(const graph::Graph& g, std::uint64_t seed,
-                            graph::VertexId dense_threshold) {
+SpectralInfo compute_lambda(const graph::Graph& g, std::uint64_t seed) {
   SpectralInfo info;
   const graph::VertexId n = g.num_vertices();
   COBRA_CHECK(n >= 2);
-  if (n <= dense_threshold) {
+  if (n <= kDenseMaxVertices) {
     const auto spectrum = walk_spectrum_dense(g);  // ascending
     const double mu2 = spectrum[spectrum.size() - 2];
     const double mu_min = spectrum.front();
@@ -78,11 +77,9 @@ util::MetricId spectral_miss_id() {
 
 }  // namespace
 
-SpectralInfo compute_lambda_cached(const graph::Graph& g, std::uint64_t seed,
-                                   graph::VertexId dense_threshold) {
-  const std::uint64_t key =
-      rng::mix64(g.fingerprint() ^ rng::mix64(seed) ^
-                 rng::mix64(0x5BEC7247ull + dense_threshold));
+SpectralInfo compute_lambda_cached(const graph::Graph& g,
+                                   std::uint64_t seed) {
+  const std::uint64_t key = rng::mix64(g.fingerprint() ^ rng::mix64(seed));
   SpectralCache& cache = spectral_cache();
   {
     const util::MutexLock lock(cache.mutex);
@@ -95,7 +92,7 @@ SpectralInfo compute_lambda_cached(const graph::Graph& g, std::uint64_t seed,
   }
   // Solve outside the lock: spectra of large graphs take seconds, and two
   // threads racing on the same key at worst duplicate one solve.
-  const SpectralInfo info = compute_lambda(g, seed, dense_threshold);
+  const SpectralInfo info = compute_lambda(g, seed);
   {
     const util::MutexLock lock(cache.mutex);
     ++cache.misses;

@@ -2,7 +2,8 @@
 //
 // lambda(G) = max_{i>=2} |mu_i| of the random-walk matrix P = D^{-1} A
 // (the paper's "second largest eigenvalue in absolute value"), and the
-// eigenvalue gap 1 - lambda, which drives Theorem 1.2.
+// eigenvalue gap 1 - lambda, which drives Theorem 1.2. Every solve runs on
+// its calling thread, so a lambda depends only on the graph and the seed.
 //
 // Also provides closed-form spectra for the standard families (used both by
 // tests as ground truth and by experiments to avoid iterative solves).
@@ -23,29 +24,31 @@ struct SpectralInfo {
   std::uint32_t steps = 0;  // Lanczos steps (0 when dense)
 };
 
-/// Computes lambda(G). Dense Jacobi for n <= `dense_threshold`; above it,
-/// a certified Lanczos solve (lanczos.hpp) whose Ritz residual bound is
+/// Largest n that compute_lambda solves with dense Jacobi (dense.hpp),
+/// exactly; larger graphs get a certified Lanczos solve.
+inline constexpr graph::VertexId kDenseMaxVertices = 256;
+
+/// Computes lambda(G). Dense Jacobi for n <= kDenseMaxVertices; above it,
+/// a certified Lanczos solve (lanczos.hpp) on the calling thread, from
+/// stream rng::make_stream(seed, 0x5eed), whose Ritz residual bound is
 /// returned as `lambda_err`; a graph it cannot certify throws
 /// util::CheckError. `seed` controls the iterative start vector only.
-SpectralInfo compute_lambda(const graph::Graph& g, std::uint64_t seed = 1,
-                            graph::VertexId dense_threshold = 256);
+SpectralInfo compute_lambda(const graph::Graph& g, std::uint64_t seed = 1);
 
 /// Memoised compute_lambda: results are cached process-wide, keyed by
-/// (Graph::fingerprint, seed, dense_threshold), so sharded cells that
-/// rebuild an identical graph — same generator, generator seed and scale —
-/// reuse one Lanczos/Jacobi solve instead of recomputing the spectrum.
-/// Thread-safe; the experiment drivers call this instead of
-/// compute_lambda.
+/// (Graph::fingerprint, seed), so sharded cells that rebuild an identical
+/// graph — same generator, generator seed and scale — reuse one
+/// Lanczos/Jacobi solve instead of recomputing the spectrum. Thread-safe;
+/// the experiment drivers call this instead of compute_lambda.
 SpectralInfo compute_lambda_cached(const graph::Graph& g,
-                                   std::uint64_t seed = 1,
-                                   graph::VertexId dense_threshold = 256);
+                                   std::uint64_t seed = 1);
 
 /// Hit/miss counters of the compute_lambda_cached cache (tests and cost
 /// accounting).
 struct SpectralCacheStats {
   std::size_t hits = 0;     ///< calls answered from the cache
   std::size_t misses = 0;   ///< calls that ran a solve
-  std::size_t entries = 0;  ///< distinct (graph, seed, threshold) keys held
+  std::size_t entries = 0;  ///< distinct (graph, seed) keys held
 };
 
 /// Current cache counters.

@@ -2,9 +2,8 @@
 // calling thread.
 //
 // Runs the Monte-Carlo replicate fan-out (sim/monte_carlo, one team per
-// call), the frontier kernel's in-round lanes (core/frontier_kernel, one
-// team per kernel, built on its first parallel pass) and the spectral
-// solves' matvec rows (spectral/lanczos, one team per solve).
+// call) and the frontier kernel's in-round lanes (core/frontier_kernel,
+// one team per kernel, built on its first parallel pass).
 //
 // run(count, fn) publishes one job and then claims indices from a shared
 // atomic counter alongside the workers: whichever thread is free takes the

@@ -20,6 +20,13 @@ constexpr int kNumFamilies = 18;
 
 class IterativeVsDense : public ::testing::TestWithParam<int> {};
 
+// The Lanczos solve compute_lambda runs above kDenseMaxVertices, on the
+// stream it draws its start vector from; callable on smaller graphs.
+LanczosResult iterative_lambda(const graph::Graph& g, std::uint64_t seed) {
+  rng::Rng rng = rng::make_stream(seed, 0x5eed);
+  return lanczos_extremes(g, rng);
+}
+
 graph::Graph graph_case(int id) {
   rng::Rng rng = rng::make_stream(4242, static_cast<std::uint64_t>(id));
   switch (id) {
@@ -53,9 +60,8 @@ TEST_P(IterativeVsDense, LanczosMatchesJacobi) {
   const double mu_min = eig.front();
   const double expected = std::max(std::fabs(mu2), std::fabs(mu_min));
 
-  // The forced-iterative facade: certified to its own residual bound.
-  const auto info = compute_lambda(g, 2, /*dense_threshold=*/0);
-  EXPECT_FALSE(info.exact);
+  // compute_lambda's iterative solve: certified to its own residual bound.
+  const LanczosResult info = iterative_lambda(g, 2);
   EXPECT_NEAR(info.lambda, expected, 1e-10) << g.name();
   EXPECT_LE(info.lambda_err, kLambdaResidualTol) << g.name();
   EXPECT_LE(std::fabs(info.lambda - expected), info.lambda_err + 1e-12)
@@ -111,17 +117,29 @@ TEST(ComputeLambda, DensePathIsExact) {
 }
 
 TEST(ComputeLambda, IterativePathAgreesWithDense) {
-  // Force the iterative path by setting the dense threshold to 0.
   const graph::Graph g = graph::hypercube(6);
-  const auto exact = compute_lambda(g, 1, /*dense_threshold=*/256);
-  const auto iterative = compute_lambda(g, 1, /*dense_threshold=*/0);
+  const auto exact = compute_lambda(g, 1);
+  const LanczosResult iterative = iterative_lambda(g, 1);
   EXPECT_TRUE(exact.exact);
-  EXPECT_FALSE(iterative.exact);
   EXPECT_NEAR(exact.lambda, iterative.lambda, 1e-10);
   EXPECT_EQ(exact.lambda_err, 0.0);
   EXPECT_EQ(exact.steps, 0u);
   EXPECT_GT(iterative.steps, 0u);
   EXPECT_NEAR(exact.lambda, 1.0, 1e-10);  // bipartite
+}
+
+TEST(ComputeLambda, DenseSolvesStopAtKDenseMaxVertices) {
+  // Pins the constant: archived lambda digits depend on which side of it
+  // a graph falls.
+  ASSERT_EQ(kDenseMaxVertices, 256u);
+  const auto dense = compute_lambda(graph::cycle(256), 1);
+  EXPECT_TRUE(dense.exact);
+  EXPECT_EQ(dense.steps, 0u);
+  EXPECT_NEAR(dense.lambda, lambda_cycle(256), 1e-10);
+  const auto iterative = compute_lambda(graph::cycle(257), 1);
+  EXPECT_FALSE(iterative.exact);
+  EXPECT_GT(iterative.steps, 0u);
+  EXPECT_NEAR(iterative.lambda, lambda_cycle(257), 1e-10);
 }
 
 TEST(ComputeLambda, CacheReusesIdenticalSpectra) {
@@ -143,17 +161,16 @@ TEST(ComputeLambda, CacheReusesIdenticalSpectra) {
   EXPECT_EQ(first.lambda, second.lambda);
   EXPECT_EQ(first.exact, second.exact);
 
-  // Different iterative seed or threshold -> different key.
+  // Different iterative seed -> different key.
   compute_lambda_cached(g, 2);
-  compute_lambda_cached(g, 1, /*dense_threshold=*/0);
   stats = spectral_cache_stats();
-  EXPECT_EQ(stats.misses, 3u);
-  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.entries, 2u);
 
   // A different graph never collides.
   compute_lambda_cached(graph::cycle(64), 1);
   stats = spectral_cache_stats();
-  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.misses, 3u);
   clear_spectral_cache();
   EXPECT_EQ(spectral_cache_stats().entries, 0u);
 }

@@ -28,6 +28,13 @@ double torus_lambda_exact(graph::VertexId a, graph::VertexId b) {
   return best;
 }
 
+// The Lanczos solve compute_lambda runs above kDenseMaxVertices, on the
+// stream it draws its start vector from; callable on smaller graphs.
+LanczosResult iterative_lambda(const graph::Graph& g, std::uint64_t seed) {
+  rng::Rng rng = rng::make_stream(seed, 0x5eed);
+  return lanczos_extremes(g, rng);
+}
+
 class TorusLambda
     : public ::testing::TestWithParam<std::pair<graph::VertexId,
                                                 graph::VertexId>> {};
@@ -37,8 +44,7 @@ TEST_P(TorusLambda, LanczosMatchesClosedForm) {
   const graph::Graph g =
       graph::cartesian_product(graph::cycle(a), graph::cycle(b));
   const double exact = torus_lambda_exact(a, b);
-  const auto info = compute_lambda(g, /*seed=*/9, /*dense_threshold=*/0);
-  EXPECT_FALSE(info.exact);  // forced onto the iterative path
+  const LanczosResult info = iterative_lambda(g, /*seed=*/9);
   EXPECT_NEAR(info.lambda, exact, 1e-10) << "C_" << a << " box C_" << b;
   EXPECT_LE(std::fabs(info.lambda - exact), info.lambda_err + 1e-12);
 }
@@ -83,7 +89,7 @@ TEST(SpectralProducts, CompleteTimesCompleteLambda) {
           exact, std::fabs(graph::cartesian_walk_eigenvalue(ma, a - 1, mb,
                                                             b - 1)));
     }
-  const auto info = compute_lambda(g, 11, /*dense_threshold=*/0);
+  const LanczosResult info = iterative_lambda(g, 11);
   EXPECT_NEAR(info.lambda, exact, 1e-10);
 }
 
@@ -97,7 +103,7 @@ TEST(SpectralProducts, GapConditionMarginOnProducts) {
 
   const graph::Graph slow =
       graph::cartesian_product(graph::cycle(45), graph::cycle(45));
-  const auto si = compute_lambda(slow, 14, /*dense_threshold=*/0);
+  const LanczosResult si = iterative_lambda(slow, 14);
   EXPECT_LT(gap_condition_margin(si.lambda, slow.num_vertices()), 1.0);
 }
 
